@@ -17,7 +17,7 @@ import sys
 
 from .decision import evaluate_move
 from .dynamics import CONVERGED, CYCLE, run, equilibrium_check
-from .election import plurality_winner
+from .election import plurality_winner, tally
 from .oracles import (
     ORACLE_MAX_FOCALS,
     ORACLE_MAX_POINTS,
@@ -75,9 +75,7 @@ def _cmd_simulate(args) -> int:
     records = [trace_record(move, scenario.candidates, scenario.tie)
                for move in outcome.trace]
     _write(args.trace, emit_trace(records))
-    final_scores = [0] * scenario.candidates.m
-    for b in outcome.final.profile.ballots:
-        final_scores[b] += 1
+    final_scores = tally(outcome.final.profile.ballots, scenario.candidates.m)
     summary = {
         "status": outcome.status,
         "steps": outcome.steps,
@@ -90,7 +88,7 @@ def _cmd_simulate(args) -> int:
         summary["cycle_length"] = outcome.cycle_length
     if outcome.status == CONVERGED:
         summary["winner"] = scenario.candidates.labels[
-            plurality_winner(tuple(final_scores), scenario.tie)]
+            plurality_winner(final_scores, scenario.tie)]
     print(json.dumps(summary))
     return 0
 
@@ -120,10 +118,7 @@ def _cmd_verify(args) -> int:
     state, configs, tie = setup.initial, setup.configs, setup.tie
     m = scenario.candidates.m
     labels = scenario.candidates.labels
-    broadcast = [0] * m
-    for b in state.profile.ballots:
-        broadcast[b] += 1
-    broadcast = tuple(broadcast)
+    broadcast = tally(state.profile.ballots, m)
 
     mismatches = 0
 
@@ -253,7 +248,7 @@ def main(argv=None) -> int:
         for msg in e.errors:
             print(f"error: {msg}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

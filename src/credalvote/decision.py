@@ -102,11 +102,11 @@ def _pair_counts(focal: FocalElement, frm: int, to: int, tie: TieBreakOrder,
     """Counts of (winner-before, winner-after) pairs over the focal element.
 
     Voter-independent, so one pass per focal element serves every voter;
-    keyed structurally for neighborhood-shaped focal elements so campaigns
-    share the work across voters, steps, and runs.
+    keyed on the focal element's point set, so campaigns share the work
+    across voters, steps, and runs.
     """
     points = focal.expand(cap)
-    key = (tie.order, frm, to, focal.tag if focal.tag is not None else points)
+    key = (tie.order, frm, to, focal)
     counts = _PAIR_COUNTS.get(key)
     if counts is None:
         counts = {}
@@ -119,6 +119,13 @@ def _pair_counts(focal: FocalElement, frm: int, to: int, tie: TieBreakOrder,
 
 def _pair_value(model: str, pref: Preference, to: int,
                 pair: tuple[int, int]) -> Fraction | int:
+    """Utility of a move to `to` that turns winner `before` into `after`.
+
+    meir_sign: +1/0/-1 as the new winner is better, unchanged, or worse for
+    the voter. direct_best_response: +1 only when the improved winner is the
+    destination itself; other improvements count 0. cardinal_rank: the rank
+    utility gap between new and old winners.
+    """
     before, after = pair
     if model == CARDINAL_RANK:
         u = rank_utility(pref)
@@ -130,22 +137,6 @@ def _pair_value(model: str, pref: Preference, to: int,
             return 0
         return 1
     return -1
-
-
-def move_utility(model: str, voter_pref: Preference, frm: int, to: int,
-                 s: Score, tie: TieBreakOrder) -> Fraction | int:
-    """Utility of shifting a ballot from `frm` to `to` in score state `s`.
-
-    meir_sign: +1/0/-1 as the new winner is better, unchanged, or worse for
-    the voter. direct_best_response: +1 only when the improved winner is the
-    destination itself; other improvements count 0. cardinal_rank: the rank
-    utility gap between new and old winners.
-    """
-    if model not in UTILITY_MODELS:
-        raise ValueError(f"unknown utility model {model!r}")
-    before = plurality_winner(s, tie)
-    after = plurality_winner(apply_move(s, frm, to), tie)
-    return _pair_value(model, voter_pref, to, (before, after))
 
 
 def _focal_stats(focal: FocalElement, model: str, pref: Preference, frm: int,
@@ -219,12 +210,9 @@ def pignistic_cardinal(mass: MassFunction, voter_pref: Preference, frm: int,
     if len(mass.assignments) != 1:
         raise ValueError("pignistic_cardinal needs a single-focal mass")
     focal, _ = mass.assignments[0]
-    counts = _pair_counts(focal, frm, to, tie, cap)
-    diff = 0
-    for pair, c in counts.items():
-        v = _pair_value(MEIR_SIGN, voter_pref, to, pair)
-        diff += v * c
-    return diff
+    _, _, total, _ = _focal_stats(focal, MEIR_SIGN, voter_pref, frm, to, tie,
+                                  cap)
+    return int(total)
 
 
 def completion_scores(voter_ballot: int, others: Sequence[PartialPreference],

@@ -21,14 +21,8 @@ from .decision import (
     UTILITY_MODELS,
     evaluate_move,
 )
-from .election import BallotProfile, Preference, Score, TieBreakOrder
-from .uncertainty import (
-    DEFAULT_CAP,
-    L1_ADDREMOVE,
-    LayeredBelief,
-    MassFunction,
-    layered_to_mass,
-)
+from .election import BallotProfile, Preference, Score, TieBreakOrder, tally
+from .uncertainty import DEFAULT_CAP, LayeredBelief, MassFunction, layered_to_mass
 
 CONVERGED = "converged"
 CYCLE = "cycle"
@@ -37,34 +31,10 @@ STEP_LIMIT = "step_limit"
 DEFAULT_MAX_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class BeliefTemplate:
-    """A layered belief minus its center; re-centered on each broadcast score."""
-
-    kind: str
-    radii: tuple[int, ...]
-    weights: tuple[Fraction, ...]
-    metric: str = L1_ADDREMOVE
-
-    def __post_init__(self):
-        probe = LayeredBelief(center=(0,), kind=self.kind, radii=self.radii,
-                              weights=self.weights, metric=self.metric)
-        object.__setattr__(self, "weights", probe.weights)
-
-    @property
-    def has_decreasing_weights(self) -> bool:
-        return all(a >= b for a, b in zip(self.weights, self.weights[1:]))
-
-    def at(self, center: Score, cap: int = DEFAULT_CAP) -> MassFunction:
-        return _layered_mass(center, self.kind, self.radii, self.weights,
-                             self.metric, cap)
-
-
 @lru_cache(maxsize=None)
-def _layered_mass(center, kind, radii, weights, metric, cap) -> MassFunction:
-    return layered_to_mass(
-        LayeredBelief(center=center, kind=kind, radii=radii,
-                      weights=weights, metric=metric), cap)
+def _layered_mass(belief: LayeredBelief, center: Score,
+                  cap: int) -> MassFunction:
+    return layered_to_mass(belief, center, cap)
 
 
 @dataclass(frozen=True)
@@ -72,20 +42,21 @@ class VoterConfig:
     """One voter's preference, belief, decision rule, and utility model."""
 
     preference: Preference
-    belief: BeliefTemplate | MassFunction
+    belief: LayeredBelief | MassFunction
     rule: DecisionRule
     utility: str
 
     def __post_init__(self):
         if self.utility not in UTILITY_MODELS:
             raise ValueError(f"unknown utility model {self.utility!r}")
-        if not isinstance(self.belief, (BeliefTemplate, MassFunction)):
-            raise TypeError("belief must be a BeliefTemplate or MassFunction")
+        if not isinstance(self.belief, (LayeredBelief, MassFunction)):
+            raise TypeError("belief must be a LayeredBelief or MassFunction")
 
     def mass_at(self, broadcast: Score, cap: int = DEFAULT_CAP) -> MassFunction:
+        """The fixed mass, or the layered belief centered on `broadcast`."""
         if isinstance(self.belief, MassFunction):
             return self.belief
-        return self.belief.at(broadcast, cap)
+        return _layered_mass(self.belief, broadcast, cap)
 
 
 @dataclass(frozen=True)
@@ -122,13 +93,6 @@ class RunOutcome:
     cycle_length: int | None = None
 
 
-def _tally(ballots: Sequence[int], m: int) -> Score:
-    counts = [0] * m
-    for b in ballots:
-        counts[b] += 1
-    return tuple(counts)
-
-
 def _strict_options(voter: int, config: VoterConfig, profile: BallotProfile,
                     broadcast: Score, tie: TieBreakOrder,
                     cap: int) -> list[tuple[int, MoveEvaluation]]:
@@ -162,7 +126,7 @@ def equilibrium_check(state: GameState, configs: Sequence[VoterConfig],
     """True when no voter holds a strictly preferred move; else one witness
     (voter, from, to)."""
     m = len(configs[0].preference.ranking)
-    broadcast = _tally(state.profile.ballots, m)
+    broadcast = tally(state.profile.ballots, m)
     for voter, config in enumerate(configs):
         options = _strict_options(voter, config, state.profile, broadcast,
                                   tie, cap)
@@ -178,7 +142,7 @@ def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder,
     """Execute one move, or return None when the state is stable."""
     n = state.profile.n
     m = len(configs[0].preference.ranking)
-    broadcast = _tally(state.profile.ballots, m)
+    broadcast = tally(state.profile.ballots, m)
     for k in range(n):
         voter = (state.next_voter + k) % n
         config = configs[voter]
@@ -193,7 +157,7 @@ def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder,
         record = MoveRecord(step=state.step, voter=voter, frm=frm, to=to,
                             criterion_value=outcome.criterion_value,
                             score_before=broadcast,
-                            score_after=_tally(profile.ballots, m))
+                            score_after=tally(profile.ballots, m))
         return GameState(profile=profile, step=state.step + 1,
                          next_voter=(voter + 1) % n), record
     return None

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 Score = tuple[int, ...]
 
@@ -129,13 +130,15 @@ def validate_score(score: Score, m: int | None = None) -> Score:
     return score
 
 
-def scores_from_profile(profile: BallotProfile, candidates: CandidateSet) -> Score:
-    """Count the ballots for each candidate."""
-    counts = [0] * candidates.m
-    for b in profile.ballots:
-        if b >= candidates.m:
-            raise ValueError(f"ballot index {b} out of range")
-        counts[b] += 1
+def tally(ballots: Sequence[int], m: int) -> Score:
+    """Votes per candidate 0..m-1 from nonnegative ballots; a ballot of m or
+    more is a ValueError."""
+    counts = [0] * m
+    try:
+        for b in ballots:
+            counts[b] += 1
+    except IndexError:
+        raise ValueError(f"ballot index {b} out of range") from None
     return tuple(counts)
 
 

@@ -40,7 +40,6 @@ from .decision import (
 )
 from .dynamics import (
     DEFAULT_MAX_STEPS,
-    BeliefTemplate,
     CampaignSummary,
     GameState,
     MoveRecord,
@@ -62,6 +61,7 @@ from .uncertainty import (
     NESTED,
     PARTITIONED,
     FocalElement,
+    LayeredBelief,
     MassFunction,
 )
 
@@ -191,7 +191,7 @@ def _parse_focal(raw, m: int | None, path: str,
 
 
 def _parse_belief(raw, m: int | None, path: str,
-                  errors: list[str]) -> BeliefTemplate | MassFunction | None:
+                  errors: list[str]) -> LayeredBelief | MassFunction | None:
     if not isinstance(raw, dict):
         errors.append(f"{path}: expected an object")
         return None
@@ -216,8 +216,8 @@ def _parse_belief(raw, m: int | None, path: str,
         if any(w is None for w in weights):
             return None
         try:
-            return BeliefTemplate(kind=kind, radii=tuple(radii),
-                                  weights=tuple(weights), metric=metric)
+            return LayeredBelief(kind=kind, radii=tuple(radii),
+                                 weights=tuple(weights), metric=metric)
         except ValueError as e:
             errors.append(f"{path}: {e}")
             return None
@@ -429,7 +429,7 @@ def parse_scenario(text: str) -> Scenario:
             for i, voter in enumerate(voters):
                 if voter is None:
                     continue
-                if not isinstance(voter.belief, BeliefTemplate):
+                if not isinstance(voter.belief, LayeredBelief):
                     errors.append(f"voters[{i}].belief: family {family!r} "
                                   f"requires a layered belief")
                 elif not voter.belief.has_decreasing_weights:
@@ -453,8 +453,8 @@ def _emit_focal(focal: FocalElement) -> dict:
     return {"points": [list(p) for p in focal.points]}
 
 
-def _emit_belief(belief: BeliefTemplate | MassFunction) -> dict:
-    if isinstance(belief, BeliefTemplate):
+def _emit_belief(belief: LayeredBelief | MassFunction) -> dict:
+    if isinstance(belief, LayeredBelief):
         return {"kind": belief.kind, "metric": belief.metric,
                 "radii": list(belief.radii),
                 "weights": [str(w) for w in belief.weights]}
@@ -624,25 +624,25 @@ def generate_instance(seed: int, n: int, m: int, family: str) -> Scenario:
             kind = NESTED if family == THEOREM1_NESTED else PARTITIONED
             layers = rng.randint(1, 3)
             radii = tuple(sorted(rng.sample([1, 2, 3], layers)))
-            belief = BeliefTemplate(kind=kind, radii=radii,
-                                    weights=_decreasing_weights(rng, layers))
+            belief = LayeredBelief(kind=kind, radii=radii,
+                                   weights=_decreasing_weights(rng, layers))
             rule = DecisionRule(PESSIMISTIC)
             utility = MEIR_SIGN
         elif family == THEOREM2_HURWICZ:
             layers = rng.randint(1, 3)
             radii = tuple(sorted(rng.sample([1, 2, 3], layers)))
-            belief = BeliefTemplate(kind=NESTED, radii=radii,
-                                    weights=_decreasing_weights(rng, layers))
+            belief = LayeredBelief(kind=NESTED, radii=radii,
+                                   weights=_decreasing_weights(rng, layers))
             rule = DecisionRule(HURWICZ, alpha=rng.choice(HURWICZ_ALPHAS))
             utility = MEIR_SIGN
         elif family == PIGNISTIC_UNIFORM:
-            belief = BeliefTemplate(kind=NESTED, radii=(1,),
-                                    weights=(Fraction(1),))
+            belief = LayeredBelief(kind=NESTED, radii=(1,),
+                                   weights=(Fraction(1),))
             rule = DecisionRule(PIGNISTIC)
             utility = MEIR_SIGN
         else:
-            belief = BeliefTemplate(kind=NESTED, radii=(0,),
-                                    weights=(Fraction(1),))
+            belief = LayeredBelief(kind=NESTED, radii=(0,),
+                                   weights=(Fraction(1),))
             rule = DecisionRule(PESSIMISTIC)
             utility = DIRECT_BEST_RESPONSE
         voters.append(VoterConfig(preference=pref, belief=belief, rule=rule,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -41,7 +41,6 @@ class FocalElement:
     points: tuple[Score, ...] | None = None
     box: tuple[tuple[int, int], ...] | None = None
     total: int | None = None
-    tag: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if (self.points is None) == (self.box is None):
@@ -67,8 +66,8 @@ class FocalElement:
                     raise ValueError("box with total constraint is empty")
 
     @classmethod
-    def from_points(cls, points: Iterable[Score], tag: object = None) -> "FocalElement":
-        return cls(points=tuple(tuple(p) for p in points), tag=tag)
+    def from_points(cls, points: Iterable[Score]) -> "FocalElement":
+        return cls(points=tuple(tuple(p) for p in points))
 
     @classmethod
     def from_box(cls, intervals, total: int | None = None) -> "FocalElement":
@@ -100,7 +99,13 @@ class FocalElement:
         return self.expand() == other.expand()
 
     def __hash__(self):
-        return hash(self.expand())
+        cached = getattr(self, "_hash", None)
+        if cached is None:
+            # An expansion a caller already made under a larger cap counts.
+            points = getattr(self, "_expanded", None) or self.expand()
+            cached = hash(points)
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
 
 def _box_points(box, total, cap) -> list[Score]:
@@ -205,21 +210,20 @@ class NeighborhoodSpec:
 
 @dataclass(frozen=True)
 class LayeredBelief:
-    """Nested or partitioned layers of neighborhoods around a center score.
+    """Nested or partitioned layers of neighborhoods, centered by
+    `layered_to_mass` on any score (in the dynamics, each broadcast score).
 
     `nested` puts weight beta_k on the whole ball of radius r_k; `partitioned`
     puts it on the ring between consecutive radii. Decreasing weights are not
     enforced here; contexts that rely on them check `has_decreasing_weights`.
     """
 
-    center: Score
     kind: str
     radii: tuple[int, ...]
     weights: tuple[Fraction, ...]
     metric: str = L1_ADDREMOVE
 
     def __post_init__(self):
-        validate_score(self.center)
         if self.kind not in (NESTED, PARTITIONED):
             raise ValueError(f"unknown layered kind {self.kind!r}")
         if self.metric not in METRICS:
@@ -317,8 +321,7 @@ def neighborhood(center: Score, spec: NeighborhoodSpec,
         points = _l1_ball(center, spec.radius, cap)
     else:
         points = _swap_ball(center, spec.radius, cap)
-    tag = ("ball", spec.metric, center, spec.radius)
-    return FocalElement.from_points(points, tag=tag)
+    return FocalElement.from_points(points)
 
 
 def _l1_ball(center: Score, radius: int, cap: int) -> list[Score]:
@@ -368,23 +371,24 @@ def _swap_ball(center: Score, radius: int, cap: int) -> list[Score]:
     return sorted(seen)
 
 
-def layered_to_mass(layered: LayeredBelief, cap: int = DEFAULT_CAP) -> MassFunction:
-    """Materialize a layered belief as focal elements with the layer weights."""
-    balls = [neighborhood(layered.center, NeighborhoodSpec(layered.metric, r), cap)
-             for r in layered.radii]
-    if layered.kind == NESTED:
+def layered_to_mass(belief: LayeredBelief, center: Score,
+                    cap: int = DEFAULT_CAP) -> MassFunction:
+    """Materialize a layered belief around `center` as focal elements with the
+    layer weights."""
+    balls = [neighborhood(center, NeighborhoodSpec(belief.metric, r), cap)
+             for r in belief.radii]
+    if belief.kind == NESTED:
         focals = balls
     else:
         focals = [balls[0]]
         for prev, ball, r_prev, r in zip(balls, balls[1:],
-                                         layered.radii, layered.radii[1:]):
+                                         belief.radii, belief.radii[1:]):
             ring = sorted(set(ball.expand(cap)) - set(prev.expand(cap)))
             if not ring:
                 raise ValueError(
                     f"partitioned ring between radii {r_prev} and {r} is empty")
-            tag = ("ring", layered.metric, layered.center, r_prev, r)
-            focals.append(FocalElement.from_points(ring, tag=tag))
-    return MassFunction(tuple(zip(focals, layered.weights)))
+            focals.append(FocalElement.from_points(ring))
+    return MassFunction(tuple(zip(focals, belief.weights)))
 
 
 def classify(mass: MassFunction, universe: Iterable[Score] | None = None,

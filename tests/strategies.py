@@ -5,11 +5,11 @@ from hypothesis import assume, strategies as st
 
 from credalvote import (
     BallotProfile,
-    BeliefTemplate,
     DecisionRule,
     FocalElement,
     GameState,
     HURWICZ,
+    LayeredBelief,
     MIXTURE,
     MassFunction,
     NESTED,
@@ -78,7 +78,7 @@ def partial_preferences(draw, m: int = 3):
 def small_games(draw, max_voters: int = 3):
     """(GameState, configs, tie) for a random 3-candidate game.
 
-    Beliefs mix a re-centered radius-1 template with fixed mass functions."""
+    Beliefs mix a re-centered radius-1 layered belief with fixed mass functions."""
     n = draw(st.integers(2, max_voters))
     ballots = tuple(draw(st.integers(0, 2)) for _ in range(n))
     configs = []
@@ -90,8 +90,8 @@ def small_games(draw, max_voters: int = 3):
         else:
             rule = DecisionRule(kind)
         belief = draw(st.one_of(
-            st.just(BeliefTemplate(kind=NESTED, radii=(1,),
-                                   weights=(Fraction(1),))),
+            st.just(LayeredBelief(kind=NESTED, radii=(1,),
+                                  weights=(Fraction(1),))),
             mass_functions(max_votes=2)))
         configs.append(VoterConfig(preference=draw(preferences()),
                                    belief=belief, rule=rule,

@@ -159,6 +159,23 @@ class TestErrors:
         assert "error: voters[0].belief.kind: unknown belief kind" in err
         assert "error: voters[0].rule.kind: unknown rule 'optimistic'" in err
 
+    def test_directory_as_scenario(self, capsys, tmp_path):
+        assert main(["simulate", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(tmp_path) in captured.err
+
+    def test_output_into_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["gen", "--family", MEIR_R0, "--seed", "1",
+                     "--voters", "3", "--candidates", "3",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(out) in captured.err
+        assert not out.parent.exists()
+
     def test_missing_arguments(self, capsys):
         assert main(["simulate"]) == 1
         assert main([]) == 1

@@ -29,7 +29,6 @@ from credalvote import (
     dominating_manipulation,
     evaluate_move,
     lower_expectation,
-    move_utility,
     neighborhood,
     pignistic,
     pignistic_cardinal,
@@ -87,26 +86,27 @@ class TestDecisionRule:
 class TestMoveUtility:
     def test_gain_state(self):
         # b -> c flips the winner from a to c, which the voter prefers
-        assert move_utility(MEIR_SIGN, PREF_BCA, 1, 2, (1, 1, 1), TIE3) == 1
+        assert raw_move_utility(MEIR_SIGN, PREF_BCA, 1, 2, (1, 1, 1), TIE3) == 1
 
     def test_loss_state(self):
         # b -> c hands the b-win to c's benefit only; worse for a b-lover
-        assert move_utility(MEIR_SIGN, PREF_BCA, 1, 2, (0, 2, 1), TIE3) == -1
+        assert raw_move_utility(MEIR_SIGN, PREF_BCA, 1, 2, (0, 2, 1), TIE3) == -1
 
     def test_null_move(self):
-        assert move_utility(MEIR_SIGN, PREF_BCA, 1, 1, (0, 2, 1), TIE3) == 0
+        assert raw_move_utility(MEIR_SIGN, PREF_BCA, 1, 1, (0, 2, 1), TIE3) == 0
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
-            move_utility("sublime", PREF_BCA, 1, 2, (1, 1, 1), TIE3)
+            evaluate_move(singleton_mass((1, 1, 1)), DecisionRule(PESSIMISTIC),
+                          "sublime", PREF_BCA, 1, 2, TIE3)
 
     @given(preferences(), st.integers(0, 2), st.integers(0, 2),
            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
            tie_orders())
     def test_model_relations(self, pref, frm, to, s, tie):
-        meir = move_utility(MEIR_SIGN, pref, frm, to, s, tie)
-        direct = move_utility(DIRECT_BEST_RESPONSE, pref, frm, to, s, tie)
-        cardinal = move_utility(CARDINAL_RANK, pref, frm, to, s, tie)
+        meir = raw_move_utility(MEIR_SIGN, pref, frm, to, s, tie)
+        direct = raw_move_utility(DIRECT_BEST_RESPONSE, pref, frm, to, s, tie)
+        cardinal = raw_move_utility(CARDINAL_RANK, pref, frm, to, s, tie)
         assert direct in (meir, 0)
         if direct == 1:
             assert plurality_winner(apply_move(s, frm, to), tie) == to
@@ -174,7 +174,7 @@ class TestEvaluateMove:
     def test_values_match_expectation_operators(self, mass, pref, frm, to,
                                                 tie, model, alpha):
         def u(s):
-            return move_utility(model, pref, frm, to, s, tie)
+            return raw_move_utility(model, pref, frm, to, s, tie)
 
         lower = lower_expectation(mass, u)
         upper = upper_expectation(mass, u)
@@ -250,7 +250,7 @@ class TestEvaluateMove:
     @given(preferences(), st.integers(0, 2), st.integers(0, 2),
            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
     def test_certain_belief_matches_sign(self, pref, frm, to, s):
-        meir = move_utility(MEIR_SIGN, pref, frm, to, s, TIE3)
+        meir = raw_move_utility(MEIR_SIGN, pref, frm, to, s, TIE3)
         out = evaluate_move(singleton_mass(s), DecisionRule(PESSIMISTIC),
                             MEIR_SIGN, pref, frm, to, TIE3)
         expected = {1: STRICTLY_PREFERRED, 0: WEAKLY_PREFERRED,
@@ -297,6 +297,49 @@ class TestPignisticCardinal:
                             frm, to, tie)
         assert (diff > 0) == (out.verdict == STRICTLY_PREFERRED)
         assert (diff == 0) == (out.verdict == WEAKLY_PREFERRED)
+
+
+class TestPairCountCache:
+    """Cached (winner-before, winner-after) counts follow the point set."""
+
+    PREF_BAC = Preference((1, 0, 2))
+
+    def evaluate(self, focal):
+        mass = MassFunction(((focal, Fraction(1)),))
+        return evaluate_move(mass, DecisionRule(PESSIMISTIC), MEIR_SIGN,
+                             self.PREF_BAC, 2, 1, TIE3)
+
+    def test_keyed_on_content_not_caller_labels(self):
+        tie_state = FocalElement.from_points([(1, 1, 0)])
+        landslide = FocalElement.from_points([(3, 0, 0)])
+        assert self.evaluate(tie_state).verdict == STRICTLY_PREFERRED
+        assert self.evaluate(landslide).verdict == WEAKLY_PREFERRED
+
+        ball = neighborhood((1, 1, 0), NeighborhoodSpec(L1_ADDREMOVE, 1))
+        copy = FocalElement.from_points(ball.expand())
+        assert self.evaluate(ball) == self.evaluate(copy)
+
+        # A caller-supplied label once keyed the cache, so {(3, 0, 0)} under
+        # the label of an earlier {(1, 1, 0)} reused its counts and read
+        # strictly preferred. Focal elements take no label now.
+        with pytest.raises(TypeError):
+            for points, verdict in (([(1, 1, 0)], STRICTLY_PREFERRED),
+                                    ([(3, 0, 0)], WEAKLY_PREFERRED)):
+                labelled = FocalElement.from_points(points, tag="t")
+                assert self.evaluate(labelled).verdict == verdict
+
+    def test_a_raised_cap_covers_the_key(self):
+        # A box past the default cap, evaluated under a raised one: keying
+        # the cache on the element must not expand it again under the default.
+        box = FocalElement.from_box([(0, 46)] * 3)
+        mass = MassFunction(((box, Fraction(1)),))
+        with pytest.raises(ExpansionCapError):
+            self.evaluate(box)
+        out = evaluate_move(mass, DecisionRule(PESSIMISTIC), MEIR_SIGN,
+                            self.PREF_BAC, 2, 1, TIE3, cap=110_000)
+        assert len(box.expand(cap=110_000)) == 47 ** 3
+        assert (out.lower, out.upper, out.verdict) == \
+            (0, 1, STRICTLY_PREFERRED)
 
 
 class TestCompletionScores:

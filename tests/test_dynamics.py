@@ -5,12 +5,12 @@ from hypothesis import given, settings
 
 from credalvote import (
     BallotProfile,
-    BeliefTemplate,
     CONVERGED,
     CYCLE,
     DecisionRule,
     FocalElement,
     GameState,
+    LayeredBelief,
     MEIR_R0,
     MEIR_SIGN,
     MassFunction,
@@ -32,9 +32,9 @@ from credalvote import (
     run,
     scenario_to_setup,
     step,
+    tally,
     truthful_profile,
 )
-from credalvote.dynamics import _tally
 from credalvote.oracles import oracle_equilibrium
 from strategies import small_games
 
@@ -66,32 +66,34 @@ def oscillator():
 class TestTemplatesAndConfigs:
     def test_template_validation(self):
         with pytest.raises(ValueError):
-            BeliefTemplate(kind="spiral", radii=(1,), weights=(Fraction(1),))
+            LayeredBelief(kind="spiral", radii=(1,), weights=(Fraction(1),))
         with pytest.raises(ValueError):
-            BeliefTemplate(kind=NESTED, radii=(2, 1),
-                           weights=(Fraction(1, 2), Fraction(1, 2)))
+            LayeredBelief(kind=NESTED, radii=(2, 1),
+                          weights=(Fraction(1, 2), Fraction(1, 2)))
         with pytest.raises(ValueError):
-            BeliefTemplate(kind=NESTED, radii=(1,), weights=(Fraction(1, 2),))
+            LayeredBelief(kind=NESTED, radii=(1,), weights=(Fraction(1, 2),))
 
     def test_decreasing_weights_flag(self):
-        up = BeliefTemplate(kind=NESTED, radii=(1, 2),
-                            weights=(Fraction(1, 3), Fraction(2, 3)))
-        down = BeliefTemplate(kind=NESTED, radii=(1, 2),
-                              weights=(Fraction(2, 3), Fraction(1, 3)))
+        up = LayeredBelief(kind=NESTED, radii=(1, 2),
+                           weights=(Fraction(1, 3), Fraction(2, 3)))
+        down = LayeredBelief(kind=NESTED, radii=(1, 2),
+                             weights=(Fraction(2, 3), Fraction(1, 3)))
         assert not up.has_decreasing_weights
         assert down.has_decreasing_weights
 
     def test_recentring_is_cached(self):
-        template = BeliefTemplate(kind=NESTED, radii=(1,),
-                                  weights=(Fraction(1),))
-        assert template.at((1, 1, 1)) is template.at((1, 1, 1))
-        assert template.at((1, 1, 1)) != template.at((2, 1, 1))
+        belief = LayeredBelief(kind=NESTED, radii=(1,),
+                               weights=(Fraction(1),))
+        config = VoterConfig(preference=Preference((0, 1, 2)), belief=belief,
+                             rule=DecisionRule(PESSIMISTIC), utility=MEIR_SIGN)
+        assert config.mass_at((1, 1, 1)) is config.mass_at((1, 1, 1))
+        assert config.mass_at((1, 1, 1)) != config.mass_at((2, 1, 1))
 
     def test_voter_config_validation(self):
-        template = BeliefTemplate(kind=NESTED, radii=(1,),
-                                  weights=(Fraction(1),))
+        belief = LayeredBelief(kind=NESTED, radii=(1,),
+                               weights=(Fraction(1),))
         with pytest.raises(ValueError):
-            VoterConfig(preference=Preference((0, 1, 2)), belief=template,
+            VoterConfig(preference=Preference((0, 1, 2)), belief=belief,
                         rule=DecisionRule(PESSIMISTIC), utility="bliss")
         with pytest.raises(TypeError):
             VoterConfig(preference=Preference((0, 1, 2)), belief=(1, 2),
@@ -104,9 +106,9 @@ class TestTemplatesAndConfigs:
             GameState(profile=BallotProfile((0, 1)), next_voter=2)
 
     def test_truthful_profile(self):
-        template = BeliefTemplate(kind=NESTED, radii=(0,),
-                                  weights=(Fraction(1),))
-        configs = [VoterConfig(preference=Preference(r), belief=template,
+        belief = LayeredBelief(kind=NESTED, radii=(0,),
+                               weights=(Fraction(1),))
+        configs = [VoterConfig(preference=Preference(r), belief=belief,
                                rule=DecisionRule(PESSIMISTIC),
                                utility=MEIR_SIGN)
                    for r in ((2, 0, 1), (0, 1, 2))]
@@ -180,7 +182,7 @@ class TestRun:
         outcome = run(*_unpack(setup))
         assert outcome.status == CONVERGED
         assert outcome.steps == 5
-        assert _tally(outcome.final.profile.ballots, 4) == (0, 5, 5, 0)
+        assert tally(outcome.final.profile.ballots, 4) == (0, 5, 5, 0)
         stable, witness = equilibrium_check(outcome.final, setup.configs,
                                             setup.tie)
         assert stable and witness is None
@@ -209,11 +211,11 @@ class TestRun:
         current = state.profile.ballots
         for i, record in enumerate(first.trace):
             assert record.step == i
-            assert record.score_before == _tally(current, m)
+            assert record.score_before == tally(current, m)
             current = list(current)
             current[record.voter] = record.to
             current = tuple(current)
-            assert record.score_after == _tally(current, m)
+            assert record.score_after == tally(current, m)
         assert first.final.profile.ballots == current
         if first.trace:
             assert first.final.next_voter == \

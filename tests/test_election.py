@@ -14,7 +14,7 @@ from credalvote import (
     plurality_winner,
     possible_tops,
     rank_utility,
-    scores_from_profile,
+    tally,
     validate_score,
 )
 from strategies import partial_preferences, preferences, scores, tie_orders
@@ -64,9 +64,9 @@ def test_validate_score():
 
 def test_scores_from_profile():
     profile = BallotProfile((0, 2, 2, 3, 0, 3, 2, 3, 1, 1))
-    assert scores_from_profile(profile, ABCD) == (2, 2, 3, 3)
+    assert tally(profile.ballots, ABCD.m) == (2, 2, 3, 3)
     with pytest.raises(ValueError):
-        scores_from_profile(BallotProfile((3,)), ABC)
+        tally(BallotProfile((3,)).ballots, ABC.m)
 
 
 def test_winner_examples():

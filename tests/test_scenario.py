@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from credalvote import (
-    BeliefTemplate,
+    LayeredBelief,
     CONVERGED,
     CYCLE,
     CampaignSummary,
@@ -69,7 +69,7 @@ class TestParse:
         assert scenario.seed is None and scenario.family is None
         voter = scenario.voters[0]
         assert voter.preference.ranking == (1, 0, 2)
-        assert isinstance(voter.belief, BeliefTemplate)
+        assert isinstance(voter.belief, LayeredBelief)
         assert voter.belief.metric == "l1_addremove"
 
     def test_invalid_json(self):

@@ -253,10 +253,9 @@ class TestNeighborhoods:
 
 class TestLayered:
     def test_nested_weights_on_balls(self):
-        layered = LayeredBelief(center=(10, 9, 11), kind="nested",
-                                radii=(1, 2, 3),
+        layered = LayeredBelief(kind="nested", radii=(1, 2, 3),
                                 weights=(HALF, Fraction(3, 10), Fraction(1, 5)))
-        mass = layered_to_mass(layered)
+        mass = layered_to_mass(layered, (10, 9, 11))
         sizes = [len(f.expand()) for f, _ in mass.assignments]
         assert sizes == sorted(sizes)
         assert [w for _, w in mass.assignments] == \
@@ -264,10 +263,9 @@ class TestLayered:
         assert classify(mass) == "necessity"
 
     def test_partitioned_rings_disjoint(self):
-        layered = LayeredBelief(center=(10, 9, 11), kind="partitioned",
-                                radii=(1, 2, 3),
+        layered = LayeredBelief(kind="partitioned", radii=(1, 2, 3),
                                 weights=(HALF, Fraction(3, 10), Fraction(1, 5)))
-        mass = layered_to_mass(layered)
+        mass = layered_to_mass(layered, (10, 9, 11))
         expansions = [set(f.expand()) for f, _ in mass.assignments]
         for i in range(len(expansions)):
             for j in range(i + 1, len(expansions)):
@@ -278,22 +276,18 @@ class TestLayered:
         assert classify(mass) == "inner"
 
     def test_empty_swap_ring_rejected(self):
-        layered = LayeredBelief(center=(1, 0, 0), kind="partitioned",
-                                radii=(1, 2), weights=(HALF, HALF),
-                                metric=VOTER_SWAP)
+        layered = LayeredBelief(kind="partitioned", radii=(1, 2),
+                                weights=(HALF, HALF), metric=VOTER_SWAP)
         with pytest.raises(ValueError):
-            layered_to_mass(layered)
+            layered_to_mass(layered, (1, 0, 0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LayeredBelief(center=(1, 0), kind="nested", radii=(2, 1),
-                          weights=(HALF, HALF))
+            LayeredBelief(kind="nested", radii=(2, 1), weights=(HALF, HALF))
         with pytest.raises(ValueError):
-            LayeredBelief(center=(1, 0), kind="nested", radii=(1,),
-                          weights=(HALF,))
+            LayeredBelief(kind="nested", radii=(1,), weights=(HALF,))
         with pytest.raises(ValueError):
-            LayeredBelief(center=(1, 0), kind="sideways", radii=(1,),
-                          weights=(Fraction(1),))
+            LayeredBelief(kind="sideways", radii=(1,), weights=(Fraction(1),))
 
 
 class TestClassify:
@@ -316,9 +310,9 @@ class TestClassify:
         assert classify(mass) == "general"
 
     def test_radius_zero_layer_is_bayesian(self):
-        layered = LayeredBelief(center=(1, 1, 0), kind="nested", radii=(0,),
+        layered = LayeredBelief(kind="nested", radii=(0,),
                                 weights=(Fraction(1),))
-        assert classify(layered_to_mass(layered)) == "bayesian"
+        assert classify(layered_to_mass(layered, (1, 1, 0))) == "bayesian"
 
 
 class TestProductMass:
