@@ -97,15 +97,15 @@ def _winner(score: Score, tie: TieBreakOrder) -> int:
     return w
 
 
-def _pair_counts(focal: FocalElement, frm: int, to: int, tie: TieBreakOrder,
-                 cap: int) -> dict[tuple[int, int], int]:
+def _pair_counts(focal: FocalElement, frm: int, to: int,
+                 tie: TieBreakOrder) -> dict[tuple[int, int], int]:
     """Counts of (winner-before, winner-after) pairs over the focal element.
 
     Voter-independent, so one pass per focal element serves every voter;
     keyed on the focal element's point set, so campaigns share the work
     across voters, steps, and runs.
     """
-    points = focal.expand(cap)
+    points = focal.expand()
     key = (tie.order, frm, to, focal)
     counts = _PAIR_COUNTS.get(key)
     if counts is None:
@@ -140,9 +140,9 @@ def _pair_value(model: str, pref: Preference, to: int,
 
 
 def _focal_stats(focal: FocalElement, model: str, pref: Preference, frm: int,
-                 to: int, tie: TieBreakOrder, cap: int):
+                 to: int, tie: TieBreakOrder):
     """(min, max, sum, count) of the move utility over one focal element."""
-    counts = _pair_counts(focal, frm, to, tie, cap)
+    counts = _pair_counts(focal, frm, to, tie)
     lo = hi = None
     total = Fraction(0)
     n = 0
@@ -159,7 +159,7 @@ def _focal_stats(focal: FocalElement, model: str, pref: Preference, frm: int,
 
 def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
                   voter_pref: Preference, frm: int, to: int,
-                  tie: TieBreakOrder, cap: int = DEFAULT_CAP) -> MoveEvaluation:
+                  tie: TieBreakOrder) -> MoveEvaluation:
     """Aggregate the move's utility over the belief and apply the rule."""
     if model not in UTILITY_MODELS:
         raise ValueError(f"unknown utility model {model!r}")
@@ -168,7 +168,7 @@ def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
     pig = Fraction(0)
     want_pig = rule.kind in (PIGNISTIC, MIXTURE)
     for focal, w in mass.assignments:
-        lo, hi, total, n = _focal_stats(focal, model, voter_pref, frm, to, tie, cap)
+        lo, hi, total, n = _focal_stats(focal, model, voter_pref, frm, to, tie)
         lower += w * lo
         upper += w * hi
         if want_pig:
@@ -201,7 +201,7 @@ def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
 
 
 def pignistic_cardinal(mass: MassFunction, voter_pref: Preference, frm: int,
-                       to: int, tie: TieBreakOrder, cap: int = DEFAULT_CAP) -> int:
+                       to: int, tie: TieBreakOrder) -> int:
     """Improving states minus worsening states over a single-focal belief.
 
     Uses the sign utility; on a uniform single focal element its sign matches
@@ -210,13 +210,12 @@ def pignistic_cardinal(mass: MassFunction, voter_pref: Preference, frm: int,
     if len(mass.assignments) != 1:
         raise ValueError("pignistic_cardinal needs a single-focal mass")
     focal, _ = mass.assignments[0]
-    _, _, total, _ = _focal_stats(focal, MEIR_SIGN, voter_pref, frm, to, tie,
-                                  cap)
+    _, _, total, _ = _focal_stats(focal, MEIR_SIGN, voter_pref, frm, to, tie)
     return int(total)
 
 
 def completion_scores(voter_ballot: int, others: Sequence[PartialPreference],
-                      m: int, cap: int = DEFAULT_CAP) -> tuple[Score, ...]:
+                      m: int) -> tuple[Score, ...]:
     """Scores consistent with every completion of the others' partial orders.
 
     Each other voter votes for the top of their completed order, which ranges
@@ -227,8 +226,8 @@ def completion_scores(voter_ballot: int, others: Sequence[PartialPreference],
     combos = 1
     for t in tops:
         combos *= len(t)
-        if combos > cap:
-            raise ExpansionCapError(f"completion count exceeds cap {cap}")
+        if combos > DEFAULT_CAP:
+            raise ExpansionCapError(f"completion count exceeds cap {DEFAULT_CAP}")
     scores = set()
     for picks in itertools.product(*tops):
         counts = [0] * m
@@ -241,8 +240,7 @@ def completion_scores(voter_ballot: int, others: Sequence[PartialPreference],
 
 def dominating_manipulation(voter_pref: Preference,
                             others: Sequence[PartialPreference], frm: int,
-                            to: int, tie: TieBreakOrder,
-                            cap: int = DEFAULT_CAP) -> bool:
+                            to: int, tie: TieBreakOrder) -> bool:
     """True when the move never hurts and sometimes helps, over all completions.
 
     The completions' score set becomes a single vacuous focal element; the
@@ -250,8 +248,8 @@ def dominating_manipulation(voter_pref: Preference,
     yields -1 and some state yields +1.
     """
     m = len(voter_pref.ranking)
-    scores = completion_scores(frm, others, m, cap)
+    scores = completion_scores(frm, others, m)
     mass = MassFunction(((FocalElement.from_points(scores), Fraction(1)),))
     outcome = evaluate_move(mass, DecisionRule(PESSIMISTIC), MEIR_SIGN,
-                            voter_pref, frm, to, tie, cap)
+                            voter_pref, frm, to, tie)
     return outcome.verdict == STRICTLY_PREFERRED

@@ -22,7 +22,7 @@ from .decision import (
     evaluate_move,
 )
 from .election import BallotProfile, Preference, Score, TieBreakOrder, tally
-from .uncertainty import DEFAULT_CAP, LayeredBelief, MassFunction, layered_to_mass
+from .uncertainty import LayeredBelief, MassFunction, layered_to_mass
 
 CONVERGED = "converged"
 CYCLE = "cycle"
@@ -32,9 +32,8 @@ DEFAULT_MAX_STEPS = 10_000
 
 
 @lru_cache(maxsize=None)
-def _layered_mass(belief: LayeredBelief, center: Score,
-                  cap: int) -> MassFunction:
-    return layered_to_mass(belief, center, cap)
+def _layered_mass(belief: LayeredBelief, center: Score) -> MassFunction:
+    return layered_to_mass(belief, center)
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,11 @@ class VoterConfig:
         if not isinstance(self.belief, (LayeredBelief, MassFunction)):
             raise TypeError("belief must be a LayeredBelief or MassFunction")
 
-    def mass_at(self, broadcast: Score, cap: int = DEFAULT_CAP) -> MassFunction:
+    def mass_at(self, broadcast: Score) -> MassFunction:
         """The fixed mass, or the layered belief centered on `broadcast`."""
         if isinstance(self.belief, MassFunction):
             return self.belief
-        return _layered_mass(self.belief, broadcast, cap)
+        return _layered_mass(self.belief, broadcast)
 
 
 @dataclass(frozen=True)
@@ -94,16 +93,16 @@ class RunOutcome:
 
 
 def _strict_options(voter: int, config: VoterConfig, profile: BallotProfile,
-                    broadcast: Score, tie: TieBreakOrder,
-                    cap: int) -> list[tuple[int, MoveEvaluation]]:
+                    broadcast: Score, tie: TieBreakOrder
+                    ) -> list[tuple[int, MoveEvaluation]]:
     frm = profile.ballots[voter]
-    mass = config.mass_at(broadcast, cap)
+    mass = config.mass_at(broadcast)
     options = []
     for to in range(len(broadcast)):
         if to == frm:
             continue
         outcome = evaluate_move(mass, config.rule, config.utility,
-                                config.preference, frm, to, tie, cap)
+                                config.preference, frm, to, tie)
         if outcome.verdict == STRICTLY_PREFERRED:
             options.append((to, outcome))
     return options
@@ -120,24 +119,7 @@ def default_policy(options: list[tuple[int, MoveEvaluation]],
     return best[0]
 
 
-def equilibrium_check(state: GameState, configs: Sequence[VoterConfig],
-                      tie: TieBreakOrder, cap: int = DEFAULT_CAP
-                      ) -> tuple[bool, tuple[int, int, int] | None]:
-    """True when no voter holds a strictly preferred move; else one witness
-    (voter, from, to)."""
-    m = len(configs[0].preference.ranking)
-    broadcast = tally(state.profile.ballots, m)
-    for voter, config in enumerate(configs):
-        options = _strict_options(voter, config, state.profile, broadcast,
-                                  tie, cap)
-        if options:
-            to = default_policy(options, config.preference, tie)
-            return False, (voter, state.profile.ballots[voter], to)
-    return True, None
-
-
-def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder,
-         policy: Callable = default_policy, cap: int = DEFAULT_CAP
+def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder
          ) -> tuple[GameState, MoveRecord] | None:
     """Execute one move, or return None when the state is stable."""
     n = state.profile.n
@@ -146,11 +128,10 @@ def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder,
     for k in range(n):
         voter = (state.next_voter + k) % n
         config = configs[voter]
-        options = _strict_options(voter, config, state.profile, broadcast,
-                                  tie, cap)
+        options = _strict_options(voter, config, state.profile, broadcast, tie)
         if not options:
             continue
-        to = policy(options, config.preference, tie)
+        to = default_policy(options, config.preference, tie)
         outcome = dict(options)[to]
         frm = state.profile.ballots[voter]
         profile = state.profile.with_ballot(voter, to)
@@ -163,9 +144,20 @@ def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder,
     return None
 
 
+def equilibrium_check(state: GameState, configs: Sequence[VoterConfig],
+                      tie: TieBreakOrder
+                      ) -> tuple[bool, tuple[int, int, int] | None]:
+    """True when no voter holds a strictly preferred move; else, as witness,
+    the move (voter, from, to) a scan from voter 0 would make."""
+    moved = step(GameState(state.profile), configs, tie)
+    if moved is None:
+        return True, None
+    record = moved[1]
+    return False, (record.voter, record.frm, record.to)
+
+
 def run(initial: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder,
-        max_steps: int = DEFAULT_MAX_STEPS, policy: Callable = default_policy,
-        cap: int = DEFAULT_CAP) -> RunOutcome:
+        max_steps: int = DEFAULT_MAX_STEPS) -> RunOutcome:
     """Iterate steps until equilibrium, a repeated state, or the step limit."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -180,7 +172,7 @@ def run(initial: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder,
                               trace=tuple(trace), cycle_start=start,
                               cycle_length=len(trace) - start)
         seen[key] = len(trace)
-        moved = step(state, configs, tie, policy, cap)
+        moved = step(state, configs, tie)
         if moved is None:
             return RunOutcome(status=CONVERGED, steps=len(trace), final=state,
                               trace=tuple(trace))
@@ -215,7 +207,7 @@ class CampaignSummary:
 
 
 def campaign(make_instance: Callable[[int], RunSetup], count: int,
-             base_seed: int = 0, cap: int = DEFAULT_CAP) -> CampaignSummary:
+             base_seed: int = 0) -> CampaignSummary:
     """Run `count` seeded instances and summarize statuses.
 
     Rows are (seed, status, steps, cycle_length), ordered by seed; cycle
@@ -229,7 +221,7 @@ def campaign(make_instance: Callable[[int], RunSetup], count: int,
     for seed in range(base_seed, base_seed + count):
         setup = make_instance(seed)
         outcome = run(setup.initial, setup.configs, setup.tie,
-                      setup.max_steps, cap=cap)
+                      setup.max_steps)
         rows.append((seed, outcome.status, outcome.steps, outcome.cycle_length))
         max_observed = max(max_observed, outcome.steps)
         if outcome.status == CONVERGED:

@@ -20,7 +20,7 @@ from .election import (
     linear_extensions,
     plurality_winner,
 )
-from .uncertainty import DEFAULT_CAP, MassFunction, ScoreDistribution
+from .uncertainty import MassFunction, ScoreDistribution
 from .decision import (
     CARDINAL_RANK,
     DIRECT_BEST_RESPONSE,
@@ -70,10 +70,10 @@ def oracle_upper_expectation(mass: MassFunction, u) -> Fraction:
     return max(_selection_values(mass, u))
 
 
-def oracle_pignistic(mass: MassFunction, cap: int = DEFAULT_CAP) -> ScoreDistribution:
+def oracle_pignistic(mass: MassFunction) -> ScoreDistribution:
     """Point-first pignistic transform: for each score point, sum the weight
     shares of the focal elements containing it."""
-    expanded = [(set(focal.expand(cap)), focal.expand(cap), w)
+    expanded = [(set(focal.expand()), focal.expand(), w)
                 for focal, w in mass.assignments]
     universe = sorted(set().union(*[points for points, _, _ in expanded]))
     support = []
@@ -106,7 +106,7 @@ def raw_move_utility(model: str, pref: Preference, frm: int, to: int, s: Score,
 
 
 def _raw_verdict_is_strict(mass: MassFunction, config: VoterConfig, frm: int,
-                           to: int, tie: TieBreakOrder, cap: int) -> bool:
+                           to: int, tie: TieBreakOrder) -> bool:
     """Strictness re-derived from raw expectations, bypassing evaluate_move."""
     pref = config.preference
     model = config.utility
@@ -114,14 +114,14 @@ def _raw_verdict_is_strict(mass: MassFunction, config: VoterConfig, frm: int,
     upper = Fraction(0)
     for focal, w in mass.assignments:
         values = [raw_move_utility(model, pref, frm, to, s, tie)
-                  for s in focal.expand(cap)]
+                  for s in focal.expand()]
         lower += w * min(values)
         upper += w * max(values)
     rule = config.rule
     if rule.kind == PESSIMISTIC:
         return lower >= 0 and upper > 0
     if rule.kind in (PIGNISTIC, MIXTURE):
-        pig = oracle_pignistic(mass, cap).expectation(
+        pig = oracle_pignistic(mass).expectation(
             lambda s: raw_move_utility(model, pref, frm, to, s, tie))
         if rule.kind == PIGNISTIC:
             return pig > 0
@@ -132,7 +132,7 @@ def _raw_verdict_is_strict(mass: MassFunction, config: VoterConfig, frm: int,
 
 
 def oracle_equilibrium(state: GameState, configs: Sequence[VoterConfig],
-                       tie: TieBreakOrder, cap: int = DEFAULT_CAP) -> bool:
+                       tie: TieBreakOrder) -> bool:
     """Exhaustive scan of every voter and destination; no early exit."""
     m = len(configs[0].preference.ranking)
     counts = [0] * m
@@ -141,12 +141,12 @@ def oracle_equilibrium(state: GameState, configs: Sequence[VoterConfig],
     broadcast: Score = tuple(counts)
     found_strict = False
     for voter, config in enumerate(configs):
-        mass = config.mass_at(broadcast, cap)
+        mass = config.mass_at(broadcast)
         frm = state.profile.ballots[voter]
         for to in range(m):
             if to == frm:
                 continue
-            if _raw_verdict_is_strict(mass, config, frm, to, tie, cap):
+            if _raw_verdict_is_strict(mass, config, frm, to, tie):
                 found_strict = True
     return not found_strict
 

@@ -80,6 +80,8 @@ ASSERTING_FAMILIES = (THEOREM1_NESTED, THEOREM1_PARTITIONED,
                       THEOREM2_HURWICZ, MEIR_R0)
 _THEOREM_FAMILIES = (THEOREM1_NESTED, THEOREM1_PARTITIONED, THEOREM2_HURWICZ)
 
+_LABELS = "abcdefghijklmnopqrstuvwxyz"
+
 HURWICZ_ALPHAS = (Fraction(51, 100), Fraction(2, 3), Fraction(9, 10),
                   Fraction(1))
 
@@ -237,21 +239,12 @@ def _parse_belief(raw, m: int | None, path: str,
             if focal is None or weight is None:
                 return None
             pairs.append((focal, weight))
-        try:
-            return MassFunction(tuple(pairs))
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    if kind == "set":
+    elif kind == "set":
         focal = _parse_focal(raw.get("focal"), m, f"{path}.focal", errors)
         if focal is None:
             return None
-        try:
-            return MassFunction(((focal, Fraction(1)),))
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    if kind == "probability":
+        pairs = [(focal, Fraction(1))]
+    elif kind == "probability":
         support = raw.get("support")
         if not isinstance(support, list) or not support:
             errors.append(f"{path}.support: expected a nonempty list")
@@ -267,14 +260,15 @@ def _parse_belief(raw, m: int | None, path: str,
             if score is None or prob is None:
                 return None
             pairs.append((FocalElement.from_points([score]), prob))
-        try:
-            return MassFunction(tuple(pairs))
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
-    errors.append(f"{path}.kind: unknown belief kind {kind!r}, expected one of "
-                  f"['nested', 'partitioned', 'fixed_mass', 'set', 'probability']")
-    return None
+    else:
+        errors.append(f"{path}.kind: unknown belief kind {kind!r}, expected one "
+                      f"of ['nested', 'partitioned', 'fixed_mass', 'set', 'probability']")
+        return None
+    try:
+        return MassFunction(tuple(pairs))
+    except ValueError as e:
+        errors.append(f"{path}: {e}")
+        return None
 
 
 def _parse_rule(raw, path: str, errors: list[str]) -> DecisionRule | None:
@@ -316,6 +310,23 @@ def _parse_labels(raw, candidates: CandidateSet | None, path: str,
     return tuple(out) if ok else None
 
 
+def _parse_order(raw, candidates: CandidateSet | None, cls, path: str,
+                 errors: list[str]):
+    """A `cls` (Preference or TieBreakOrder) listing every candidate once."""
+    order = _parse_labels(raw, candidates, path, errors)
+    if order is None:
+        return None
+    if len(order) != candidates.m:
+        errors.append(f"{path}: expected {candidates.m} labels, "
+                      f"got {len(order)}")
+        return None
+    try:
+        return cls(order)
+    except ValueError as e:
+        errors.append(f"{path}: {e}")
+        return None
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario JSON, reporting every problem found."""
     errors: list[str] = []
@@ -348,12 +359,8 @@ def parse_scenario(text: str) -> Scenario:
 
     tie = None
     if "tie_break" in raw:
-        order = _parse_labels(raw["tie_break"], candidates, "tie_break", errors)
-        if order is not None:
-            try:
-                tie = TieBreakOrder(order)
-            except ValueError as e:
-                errors.append(f"tie_break: {e}")
+        tie = _parse_order(raw["tie_break"], candidates, TieBreakOrder,
+                           "tie_break", errors)
     elif candidates is not None:
         tie = TieBreakOrder.default(candidates.m)
 
@@ -368,14 +375,8 @@ def parse_scenario(text: str) -> Scenario:
             errors.append(f"{path}: expected an object")
             voters.append(None)
             continue
-        pref = None
-        ranking = _parse_labels(rv.get("preference"), candidates,
-                                f"{path}.preference", errors)
-        if ranking is not None:
-            try:
-                pref = Preference(ranking)
-            except ValueError as e:
-                errors.append(f"{path}.preference: {e}")
+        pref = _parse_order(rv.get("preference"), candidates, Preference,
+                            f"{path}.preference", errors)
         belief = _parse_belief(rv.get("belief"), m, f"{path}.belief", errors)
         rule = _parse_rule(rv.get("rule"), f"{path}.rule", errors)
         utility = rv.get("utility")
@@ -613,27 +614,24 @@ def generate_instance(seed: int, n: int, m: int, family: str) -> Scenario:
         raise ValueError("need at least one voter")
     if m <= 2:
         raise ValueError("need more than two candidates")
+    if m > len(_LABELS):
+        raise ValueError(f"need at most {len(_LABELS)} candidates, "
+                         f"one per letter a-z")
     rng = random.Random(seed)
-    labels = tuple("abcdefghijklmnopqrstuvwxyz"[:m])
+    labels = tuple(_LABELS[:m])
     voters = []
     for _ in range(n):
         ranking = list(range(m))
         rng.shuffle(ranking)
         pref = Preference(tuple(ranking))
-        if family in (THEOREM1_NESTED, THEOREM1_PARTITIONED):
-            kind = NESTED if family == THEOREM1_NESTED else PARTITIONED
+        if family in _THEOREM_FAMILIES:
+            kind = PARTITIONED if family == THEOREM1_PARTITIONED else NESTED
             layers = rng.randint(1, 3)
             radii = tuple(sorted(rng.sample([1, 2, 3], layers)))
             belief = LayeredBelief(kind=kind, radii=radii,
                                    weights=_decreasing_weights(rng, layers))
-            rule = DecisionRule(PESSIMISTIC)
-            utility = MEIR_SIGN
-        elif family == THEOREM2_HURWICZ:
-            layers = rng.randint(1, 3)
-            radii = tuple(sorted(rng.sample([1, 2, 3], layers)))
-            belief = LayeredBelief(kind=NESTED, radii=radii,
-                                   weights=_decreasing_weights(rng, layers))
-            rule = DecisionRule(HURWICZ, alpha=rng.choice(HURWICZ_ALPHAS))
+            rule = (DecisionRule(HURWICZ, alpha=rng.choice(HURWICZ_ALPHAS))
+                    if family == THEOREM2_HURWICZ else DecisionRule(PESSIMISTIC))
             utility = MEIR_SIGN
         elif family == PIGNISTIC_UNIFORM:
             belief = LayeredBelief(kind=NESTED, radii=(1,),

@@ -27,7 +27,7 @@ PARTITIONED = "partitioned"
 
 
 class ExpansionCapError(ValueError):
-    """A focal element would expand past the configured cardinality cap."""
+    """A focal element would expand past DEFAULT_CAP points."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,20 +73,20 @@ class FocalElement:
     def from_box(cls, intervals, total: int | None = None) -> "FocalElement":
         return cls(box=tuple((int(lo), int(hi)) for lo, hi in intervals), total=total)
 
-    def expand(self, cap: int = DEFAULT_CAP) -> tuple[Score, ...]:
-        """All points of the focal element, sorted. Errors past `cap` points."""
+    def expand(self) -> tuple[Score, ...]:
+        """All points of the focal element, sorted. Errors past DEFAULT_CAP."""
         cached = getattr(self, "_expanded", None)
         if cached is None:
             if self.points is not None:
                 cached = self.points
             else:
-                cached = tuple(sorted(_box_points(self.box, self.total, cap)))
+                cached = tuple(sorted(_box_points(self.box, self.total)))
                 if not cached:
                     raise ValueError("box focal element is empty")
             object.__setattr__(self, "_expanded", cached)
-        if len(cached) > cap:
+        if len(cached) > DEFAULT_CAP:
             raise ExpansionCapError(
-                f"focal element has {len(cached)} points, cap is {cap}")
+                f"focal element has {len(cached)} points, cap is {DEFAULT_CAP}")
         return cached
 
     def __eq__(self, other):
@@ -101,21 +101,19 @@ class FocalElement:
     def __hash__(self):
         cached = getattr(self, "_hash", None)
         if cached is None:
-            # An expansion a caller already made under a larger cap counts.
-            points = getattr(self, "_expanded", None) or self.expand()
-            cached = hash(points)
+            cached = hash(self.expand())
             object.__setattr__(self, "_hash", cached)
         return cached
 
 
-def _box_points(box, total, cap) -> list[Score]:
+def _box_points(box, total) -> list[Score]:
     """Integer points of the box, filtered to the exact total when given."""
     if total is None:
         size = 1
         for lo, hi in box:
             size *= hi - lo + 1
-            if size > cap:
-                raise ExpansionCapError(f"box expands past cap {cap}")
+            if size > DEFAULT_CAP:
+                raise ExpansionCapError(f"box expands past cap {DEFAULT_CAP}")
         return [tuple(p) for p in itertools.product(
             *[range(lo, hi + 1) for lo, hi in box])]
     out: list[Score] = []
@@ -128,8 +126,8 @@ def _box_points(box, total, cap) -> list[Score]:
     def rec(i: int, remaining: int, prefix: list[int]):
         if i == len(box):
             out.append(tuple(prefix))
-            if len(out) > cap:
-                raise ExpansionCapError(f"box expands past cap {cap}")
+            if len(out) > DEFAULT_CAP:
+                raise ExpansionCapError(f"box expands past cap {DEFAULT_CAP}")
             return
         lo, hi = box[i]
         for v in range(max(lo, remaining - suffix_hi[i + 1]),
@@ -161,11 +159,11 @@ class MassFunction:
             if f1 == f2:
                 raise ValueError("focal elements must be distinct after canonicalization")
 
-    def support(self, cap: int = DEFAULT_CAP) -> tuple[Score, ...]:
+    def support(self) -> tuple[Score, ...]:
         """Union of all focal expansions, sorted."""
         points: set[Score] = set()
         for focal, _ in self.assignments:
-            points.update(focal.expand(cap))
+            points.update(focal.expand())
         return tuple(sorted(points))
 
 
@@ -248,24 +246,22 @@ class LayeredBelief:
         return all(a >= b for a, b in zip(self.weights, self.weights[1:]))
 
 
-def lower_probability(mass: MassFunction, event: Iterable[Score],
-                      cap: int = DEFAULT_CAP) -> Fraction:
+def lower_probability(mass: MassFunction, event: Iterable[Score]) -> Fraction:
     """Total weight of focal elements entirely inside the event."""
     ev = {tuple(s) for s in event}
     total = Fraction(0)
     for focal, w in mass.assignments:
-        if all(p in ev for p in focal.expand(cap)):
+        if all(p in ev for p in focal.expand()):
             total += w
     return total
 
 
-def upper_probability(mass: MassFunction, event: Iterable[Score],
-                      cap: int = DEFAULT_CAP) -> Fraction:
+def upper_probability(mass: MassFunction, event: Iterable[Score]) -> Fraction:
     """Total weight of focal elements touching the event."""
     ev = {tuple(s) for s in event}
     total = Fraction(0)
     for focal, w in mass.assignments:
-        if any(p in ev for p in focal.expand(cap)):
+        if any(p in ev for p in focal.expand()):
             total += w
     return total
 
@@ -278,33 +274,32 @@ def _as_function(u) -> Callable[[Score], Fraction]:
     raise TypeError("utility must be a callable or a mapping over score vectors")
 
 
-def lower_expectation(mass: MassFunction, u, cap: int = DEFAULT_CAP) -> Fraction:
+def lower_expectation(mass: MassFunction, u) -> Fraction:
     """Weighted sum of each focal element's worst utility."""
     fn = _as_function(u)
-    return sum((w * Fraction(min(fn(p) for p in focal.expand(cap)))
+    return sum((w * Fraction(min(fn(p) for p in focal.expand()))
                 for focal, w in mass.assignments), Fraction(0))
 
 
-def upper_expectation(mass: MassFunction, u, cap: int = DEFAULT_CAP) -> Fraction:
+def upper_expectation(mass: MassFunction, u) -> Fraction:
     """Weighted sum of each focal element's best utility."""
     fn = _as_function(u)
-    return sum((w * Fraction(max(fn(p) for p in focal.expand(cap)))
+    return sum((w * Fraction(max(fn(p) for p in focal.expand()))
                 for focal, w in mass.assignments), Fraction(0))
 
 
-def pignistic(mass: MassFunction, cap: int = DEFAULT_CAP) -> ScoreDistribution:
+def pignistic(mass: MassFunction) -> ScoreDistribution:
     """Spread each focal element's weight uniformly over its points."""
     acc: dict[Score, Fraction] = {}
     for focal, w in mass.assignments:
-        points = focal.expand(cap)
+        points = focal.expand()
         share = w / len(points)
         for p in points:
             acc[p] = acc.get(p, Fraction(0)) + share
     return ScoreDistribution(tuple(acc.items()))
 
 
-def neighborhood(center: Score, spec: NeighborhoodSpec,
-                 cap: int = DEFAULT_CAP) -> FocalElement:
+def neighborhood(center: Score, spec: NeighborhoodSpec) -> FocalElement:
     """The set of score vectors within `spec.radius` of `center`.
 
     l1_addremove: all nonnegative integer vectors within l1 distance r; the
@@ -318,20 +313,21 @@ def neighborhood(center: Score, spec: NeighborhoodSpec,
     """
     center = validate_score(tuple(center))
     if spec.metric == L1_ADDREMOVE:
-        points = _l1_ball(center, spec.radius, cap)
+        points = _l1_ball(center, spec.radius)
     else:
-        points = _swap_ball(center, spec.radius, cap)
+        points = _swap_ball(center, spec.radius)
     return FocalElement.from_points(points)
 
 
-def _l1_ball(center: Score, radius: int, cap: int) -> list[Score]:
+def _l1_ball(center: Score, radius: int) -> list[Score]:
     out: list[Score] = []
 
     def rec(i: int, budget: int, prefix: list[int]):
         if i == len(center):
             out.append(tuple(prefix))
-            if len(out) > cap:
-                raise ExpansionCapError(f"neighborhood expands past cap {cap}")
+            if len(out) > DEFAULT_CAP:
+                raise ExpansionCapError(
+                    f"neighborhood expands past cap {DEFAULT_CAP}")
             return
         for delta in range(-min(center[i], budget), budget + 1):
             prefix.append(center[i] + delta)
@@ -342,7 +338,7 @@ def _l1_ball(center: Score, radius: int, cap: int) -> list[Score]:
     return out
 
 
-def _swap_ball(center: Score, radius: int, cap: int) -> list[Score]:
+def _swap_ball(center: Score, radius: int) -> list[Score]:
     m = len(center)
     best = max(center)
     leader = min(c for c in range(m) if center[c] == best)
@@ -363,19 +359,18 @@ def _swap_ball(center: Score, radius: int, cap: int) -> list[Score]:
                     t = tuple(moved)
                     if t not in seen:
                         seen.add(t)
-                        if len(seen) > cap:
+                        if len(seen) > DEFAULT_CAP:
                             raise ExpansionCapError(
-                                f"neighborhood expands past cap {cap}")
+                                f"neighborhood expands past cap {DEFAULT_CAP}")
                         nxt.append(t)
         frontier = nxt
     return sorted(seen)
 
 
-def layered_to_mass(belief: LayeredBelief, center: Score,
-                    cap: int = DEFAULT_CAP) -> MassFunction:
+def layered_to_mass(belief: LayeredBelief, center: Score) -> MassFunction:
     """Materialize a layered belief around `center` as focal elements with the
     layer weights."""
-    balls = [neighborhood(center, NeighborhoodSpec(belief.metric, r), cap)
+    balls = [neighborhood(center, NeighborhoodSpec(belief.metric, r))
              for r in belief.radii]
     if belief.kind == NESTED:
         focals = balls
@@ -383,7 +378,7 @@ def layered_to_mass(belief: LayeredBelief, center: Score,
         focals = [balls[0]]
         for prev, ball, r_prev, r in zip(balls, balls[1:],
                                          belief.radii, belief.radii[1:]):
-            ring = sorted(set(ball.expand(cap)) - set(prev.expand(cap)))
+            ring = sorted(set(ball.expand()) - set(prev.expand()))
             if not ring:
                 raise ValueError(
                     f"partitioned ring between radii {r_prev} and {r} is empty")
@@ -391,8 +386,7 @@ def layered_to_mass(belief: LayeredBelief, center: Score,
     return MassFunction(tuple(zip(focals, belief.weights)))
 
 
-def classify(mass: MassFunction, universe: Iterable[Score] | None = None,
-             cap: int = DEFAULT_CAP) -> str:
+def classify(mass: MassFunction, universe: Iterable[Score] | None = None) -> str:
     """Structural category of a mass function.
 
     bayesian: every focal element is a singleton. vacuous: a single focal
@@ -400,7 +394,7 @@ def classify(mass: MassFunction, universe: Iterable[Score] | None = None,
     is given). necessity: focal elements totally ordered by inclusion.
     inner: focal elements pairwise disjoint. Otherwise general.
     """
-    expansions = [set(focal.expand(cap)) for focal, _ in mass.assignments]
+    expansions = [set(focal.expand()) for focal, _ in mass.assignments]
     if all(len(e) == 1 for e in expansions):
         return "bayesian"
     if universe is not None and len(expansions) == 1 \
@@ -414,7 +408,7 @@ def classify(mass: MassFunction, universe: Iterable[Score] | None = None,
 
 
 def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]]],
-                 candidates_m: int, cap: int = DEFAULT_CAP) -> MassFunction:
+                 candidates_m: int) -> MassFunction:
     """Joint mass over score vectors from independent per-voter ballot masses.
 
     Each voter contributes a mass over nonempty candidate subsets. Every tuple
@@ -442,8 +436,8 @@ def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]
     tuples = 1
     for assignments in per_voter:
         tuples *= len(assignments)
-        if tuples > cap:
-            raise ExpansionCapError(f"focal tuple count exceeds cap {cap}")
+        if tuples > DEFAULT_CAP:
+            raise ExpansionCapError(f"focal tuple count exceeds cap {DEFAULT_CAP}")
 
     merged: dict[tuple[Score, ...], Fraction] = {}
     for combo in itertools.product(*per_voter):
@@ -451,8 +445,9 @@ def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]
         choices = 1
         for subset, _ in combo:
             choices *= len(subset)
-            if choices > cap:
-                raise ExpansionCapError(f"score enumeration exceeds cap {cap}")
+            if choices > DEFAULT_CAP:
+                raise ExpansionCapError(
+                    f"score enumeration exceeds cap {DEFAULT_CAP}")
         scores = set()
         for picks in itertools.product(*[subset for subset, _ in combo]):
             counts = [0] * candidates_m
@@ -465,8 +460,7 @@ def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]
         (FocalElement.from_points(points), w) for points, w in merged.items()))
 
 
-def multinomial_distribution(q: Sequence[Fraction], n: int,
-                             cap: int = DEFAULT_CAP) -> ScoreDistribution:
+def multinomial_distribution(q: Sequence[Fraction], n: int) -> ScoreDistribution:
     """Exact multinomial distribution over all score vectors summing to n."""
     q = [Fraction(x) for x in q]
     if not q:
@@ -478,8 +472,8 @@ def multinomial_distribution(q: Sequence[Fraction], n: int,
     if n < 1:
         raise ValueError("need at least one voter")
     m = len(q)
-    if math.comb(n + m - 1, m - 1) > cap:
-        raise ExpansionCapError(f"composition count exceeds cap {cap}")
+    if math.comb(n + m - 1, m - 1) > DEFAULT_CAP:
+        raise ExpansionCapError(f"composition count exceeds cap {DEFAULT_CAP}")
     support = []
     for combo in itertools.combinations(range(n + m - 1), m - 1):
         cuts = (-1,) + combo + (n + m - 1,)

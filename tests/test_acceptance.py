@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from credalvote import (
     CYCLE,
-    DEFAULT_CAP,
     DecisionRule,
     FocalElement,
     HURWICZ,
@@ -181,8 +180,7 @@ def test_criterion_2_contested_race_cycles():
             problems.append(f"net count at {state} for voter {voter} "
                             f"{frm}->{to}: oracle {oracle}, fast {fast}, "
                             f"expected {expected}")
-        if not _raw_verdict_is_strict(mass, config, frm, to, tie,
-                                      DEFAULT_CAP):
+        if not _raw_verdict_is_strict(mass, config, frm, to, tie):
             problems.append(f"oracle finds voter {voter}'s {frm}->{to} at "
                             f"{state} not strict")
 
@@ -201,8 +199,7 @@ def test_criterion_2_contested_race_cycles():
                 mass = ball_mass(record.score_before)
                 for to in range(m):
                     if to != ballots[k] and _raw_verdict_is_strict(
-                            mass, setup.configs[k], ballots[k], to, tie,
-                            DEFAULT_CAP):
+                            mass, setup.configs[k], ballots[k], to, tie):
                         problems.append(f"scan passed over voter {k} at "
                                         f"{record.score_before}, but the "
                                         f"oracle finds {ballots[k]}->{to} "

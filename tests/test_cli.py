@@ -15,6 +15,8 @@ from credalvote.scenario import (
     scenario_to_setup,
 )
 
+from test_scenario import PARTIAL_PREFERENCE
+
 
 def fake_family_setup(seed, family, n, m):
     """Stand-in generator whose runs always hit the step limit."""
@@ -158,6 +160,25 @@ class TestErrors:
         assert "error: format_version: expected 1" in err
         assert "error: voters[0].belief.kind: unknown belief kind" in err
         assert "error: voters[0].rule.kind: unknown rule 'optimistic'" in err
+
+    def test_partial_preference(self, capsys, tmp_path):
+        path = tmp_path / "partial.json"
+        path.write_text(PARTIAL_PREFERENCE)
+        for command in ("simulate", "check"):
+            assert main([command, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: voters[1].preference: "
+                                    "expected 4 labels, got 3\n")
+
+    def test_more_than_26_candidates(self, capsys):
+        for command in (["gen", "--seed", "1"], ["campaign", "--count", "1"]):
+            assert main(command + ["--family", MEIR_R0, "--voters", "3",
+                                   "--candidates", "27"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: need at most 26 candidates, "
+                                    "one per letter a-z\n")
 
     def test_directory_as_scenario(self, capsys, tmp_path):
         assert main(["simulate", str(tmp_path)]) == 1

@@ -328,18 +328,10 @@ class TestPairCountCache:
                 labelled = FocalElement.from_points(points, tag="t")
                 assert self.evaluate(labelled).verdict == verdict
 
-    def test_a_raised_cap_covers_the_key(self):
-        # A box past the default cap, evaluated under a raised one: keying
-        # the cache on the element must not expand it again under the default.
-        box = FocalElement.from_box([(0, 46)] * 3)
-        mass = MassFunction(((box, Fraction(1)),))
+    def test_a_box_past_the_cap_raises(self):
+        # 47**3 points: the cap guard fires before the cache is consulted.
         with pytest.raises(ExpansionCapError):
-            self.evaluate(box)
-        out = evaluate_move(mass, DecisionRule(PESSIMISTIC), MEIR_SIGN,
-                            self.PREF_BAC, 2, 1, TIE3, cap=110_000)
-        assert len(box.expand(cap=110_000)) == 47 ** 3
-        assert (out.lower, out.upper, out.verdict) == \
-            (0, 1, STRICTLY_PREFERRED)
+            self.evaluate(FocalElement.from_box([(0, 46)] * 3))
 
 
 class TestCompletionScores:
@@ -355,7 +347,7 @@ class TestCompletionScores:
     def test_cap(self):
         empty = PartialPreference.from_pairs([])
         with pytest.raises(ExpansionCapError):
-            completion_scores(0, [empty] * 4, 3, cap=10)
+            completion_scores(0, [empty] * 11, 3)
 
 
 class TestDominatingManipulation:

@@ -42,6 +42,24 @@ MINIMAL = """
 }
 """
 
+# Voter 1 ranks only three of the four candidates.
+PARTIAL_PREFERENCE = """
+{
+  "format_version": 1,
+  "candidates": ["a", "b", "c", "d"],
+  "voters": [
+    {"preference": ["d", "c", "b", "a"],
+     "belief": {"kind": "nested", "radii": [1], "weights": ["1"]},
+     "rule": {"kind": "pessimistic"},
+     "utility": "cardinal_rank"},
+    {"preference": ["a", "b", "c"],
+     "belief": {"kind": "nested", "radii": [1], "weights": ["1"]},
+     "rule": {"kind": "pessimistic"},
+     "utility": "cardinal_rank"}
+  ]
+}
+"""
+
 FIXTURES = ("example4", "prop1_counterexample", "equilibrium")
 
 
@@ -147,6 +165,25 @@ class TestParse:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(json.dumps(text))
         assert any("expected 1 ballots, got 2" in e for e in exc.value.errors)
+
+    def test_partial_preference_rejected(self):
+        text = json.loads(PARTIAL_PREFERENCE)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(text))
+        assert exc.value.errors == (
+            "voters[1].preference: expected 4 labels, got 3",)
+        text["voters"].reverse()
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(text))
+        assert exc.value.errors == (
+            "voters[0].preference: expected 4 labels, got 3",)
+
+    def test_partial_tie_break_rejected(self):
+        text = json.loads(MINIMAL)
+        text["tie_break"] = ["a", "b"]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(text))
+        assert exc.value.errors == ("tie_break: expected 3 labels, got 2",)
 
     def test_theorem_family_requires_layered_belief(self):
         belief = ('{"kind": "fixed_mass", "assignments": '
@@ -282,6 +319,8 @@ class TestGeneration:
             generate_instance(0, n=0, m=3, family=MEIR_R0)
         with pytest.raises(ValueError):
             generate_instance(0, n=3, m=2, family=MEIR_R0)
+        with pytest.raises(ValueError, match="at most 26 candidates"):
+            generate_instance(1, n=3, m=27, family=MEIR_R0)
 
 
 class TestFixtures:

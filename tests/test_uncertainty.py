@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from credalvote import (
+    DEFAULT_CAP,
     ExpansionCapError,
     FocalElement,
     L1_ADDREMOVE,
@@ -69,9 +70,14 @@ class TestFocalElement:
             FocalElement(points=((1, 1),), total=2)
 
     def test_expansion_cap(self):
-        focal = FocalElement.from_box([(0, 9)] * 4)
-        with pytest.raises(ExpansionCapError):
-            focal.expand(cap=100)
+        # A box of 10**6 points, a box whose points of total 120 outnumber
+        # the cap, and DEFAULT_CAP + 1 explicit points.
+        for focal in (FocalElement.from_box([(0, 9)] * 6),
+                      FocalElement.from_box([(0, 60)] * 4, total=120),
+                      FocalElement.from_points(
+                          (i, 0) for i in range(DEFAULT_CAP + 1))):
+            with pytest.raises(ExpansionCapError):
+                focal.expand()
 
 
 class TestMassFunction:
@@ -247,8 +253,9 @@ class TestNeighborhoods:
 
     def test_cap(self):
         with pytest.raises(ExpansionCapError):
-            neighborhood((5, 5, 5, 5), NeighborhoodSpec(L1_ADDREMOVE, 4),
-                         cap=10)
+            neighborhood((10,) * 6, NeighborhoodSpec(L1_ADDREMOVE, 10))
+        with pytest.raises(ExpansionCapError):
+            neighborhood((20,) * 8, NeighborhoodSpec(VOTER_SWAP, 6))
 
 
 class TestLayered:
@@ -353,6 +360,11 @@ class TestProductMass:
             product_mass([[(set(), Fraction(1))]], candidates_m=3)
         with pytest.raises(ValueError):
             product_mass([[({5}, Fraction(1))]], candidates_m=3)
+        # 2**17 focal tuples; then one tuple of 3**11 ballot picks.
+        with pytest.raises(ExpansionCapError):
+            product_mass([[({0}, HALF), ({1}, HALF)]] * 17, candidates_m=3)
+        with pytest.raises(ExpansionCapError):
+            product_mass([[({0, 1, 2}, Fraction(1))]] * 11, candidates_m=3)
 
 
 class TestMultinomial:
@@ -386,4 +398,4 @@ class TestMultinomial:
             multinomial_distribution((HALF, HALF, HALF), 2)
         with pytest.raises(ExpansionCapError):
             multinomial_distribution((HALF, Fraction(1, 4), Fraction(1, 4)),
-                                     100, cap=10)
+                                     1000)
