@@ -22,7 +22,6 @@ from .election import (
     apply_move,
     plurality_winner,
     possible_tops,
-    rank_utility,
 )
 from .uncertainty import DEFAULT_CAP, ExpansionCapError, FocalElement, MassFunction
 
@@ -88,48 +87,47 @@ _WINNERS: dict[tuple[int, ...], dict[Score, int]] = {}
 _PAIR_COUNTS: dict[tuple, dict[tuple[int, int], int]] = {}
 
 
-def _winner(score: Score, tie: TieBreakOrder) -> int:
-    table = _WINNERS.setdefault(tie.order, {})
-    w = table.get(score)
-    if w is None:
-        w = plurality_winner(score, tie)
-        table[score] = w
-    return w
-
-
 def _pair_counts(focal: FocalElement, frm: int, to: int,
                  tie: TieBreakOrder) -> dict[tuple[int, int], int]:
     """Counts of (winner-before, winner-after) pairs over the focal element.
 
-    Voter-independent, so one pass per focal element serves every voter;
-    keyed on the focal element's point set, so campaigns share the work
-    across voters, steps, and runs.
+    Voter-independent, so one pass per focal element serves every voter.
+    A neighborhood is keyed on its metric, radius and clipped gap signature,
+    which determine the counts, so broadcasts that share a signature share
+    the work; any other focal element is keyed on its point set.
     """
-    points = focal.expand()
-    key = (tie.order, frm, to, focal)
+    key = (tie.order, frm, to, getattr(focal, "_key", focal))
     counts = _PAIR_COUNTS.get(key)
     if counts is None:
         counts = {}
-        for s in points:
-            pair = (_winner(s, tie), _winner(apply_move(s, frm, to), tie))
+        winners = _WINNERS.setdefault(tie.order, {})
+        for s in focal.expand():
+            before = winners.get(s)
+            if before is None:
+                before = winners[s] = plurality_winner(s, tie)
+            t = apply_move(s, frm, to)
+            after = winners.get(t)
+            if after is None:
+                after = winners[t] = plurality_winner(t, tie)
+            pair = (before, after)
             counts[pair] = counts.get(pair, 0) + 1
         _PAIR_COUNTS[key] = counts
     return counts
 
 
 def _pair_value(model: str, pref: Preference, to: int,
-                pair: tuple[int, int]) -> Fraction | int:
+                pair: tuple[int, int]) -> int:
     """Utility of a move to `to` that turns winner `before` into `after`.
 
     meir_sign: +1/0/-1 as the new winner is better, unchanged, or worse for
     the voter. direct_best_response: +1 only when the improved winner is the
     destination itself; other improvements count 0. cardinal_rank: the rank
-    utility gap between new and old winners.
+    utility gap between new and old winners (`rank_utility`), which is the
+    old winner's rank minus the new one's.
     """
     before, after = pair
     if model == CARDINAL_RANK:
-        u = rank_utility(pref)
-        return u[after] - u[before]
+        return pref.rank_of(before) - pref.rank_of(after)
     if after == before:
         return 0
     if pref.prefers(after, before):
@@ -140,64 +138,60 @@ def _pair_value(model: str, pref: Preference, to: int,
 
 
 def _focal_stats(focal: FocalElement, model: str, pref: Preference, frm: int,
-                 to: int, tie: TieBreakOrder):
+                 to: int, tie: TieBreakOrder) -> tuple[int, int, int, int]:
     """(min, max, sum, count) of the move utility over one focal element."""
     counts = _pair_counts(focal, frm, to, tie)
-    lo = hi = None
-    total = Fraction(0)
-    n = 0
-    for pair, c in counts.items():
-        v = _pair_value(model, pref, to, pair)
-        if lo is None or v < lo:
-            lo = v
-        if hi is None or v > hi:
-            hi = v
-        total += v * c
-        n += c
-    return lo, hi, total, n
+    values = [_pair_value(model, pref, to, pair) for pair in counts]
+    return (min(values), max(values),
+            sum(v * c for v, c in zip(values, counts.values())),
+            sum(counts.values()))
 
 
 def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
                   voter_pref: Preference, frm: int, to: int,
                   tie: TieBreakOrder) -> MoveEvaluation:
-    """Aggregate the move's utility over the belief and apply the rule."""
+    """Aggregate the move's utility over the belief and apply the rule.
+
+    Sums run in integers over the weights' common denominator; each reported
+    value is one Fraction.
+    """
     if model not in UTILITY_MODELS:
         raise ValueError(f"unknown utility model {model!r}")
-    lower = Fraction(0)
-    upper = Fraction(0)
-    pig = Fraction(0)
+    den, numerators = mass._scaled
+    lower = upper = 0
+    # The pignistic sum is pig / (den * pig_den).
+    pig, pig_den = 0, 1
     want_pig = rule.kind in (PIGNISTIC, MIXTURE)
-    for focal, w in mass.assignments:
+    for (focal, _), w in zip(mass.assignments, numerators):
         lo, hi, total, n = _focal_stats(focal, model, voter_pref, frm, to, tie)
         lower += w * lo
         upper += w * hi
         if want_pig:
-            pig += w * total / n
+            pig = pig * n + w * total * pig_den
+            pig_den *= n
 
+    lower_f = Fraction(lower, den)
+    pig_f = Fraction(pig, den * pig_den) if want_pig else None
     if rule.kind == PESSIMISTIC:
-        value = lower
-        if lower < 0:
-            verdict = NOT_PREFERRED
-        elif upper > 0:
-            verdict = STRICTLY_PREFERRED
-        else:
-            verdict = WEAKLY_PREFERRED
+        value = lower_f
+        verdict = (NOT_PREFERRED if lower < 0 else
+                   STRICTLY_PREFERRED if upper > 0 else WEAKLY_PREFERRED)
     else:
         if rule.kind == PIGNISTIC:
-            value = pig
-        elif rule.kind == MIXTURE:
-            value = rule.alpha * lower + (1 - rule.alpha) * pig
+            num, value = pig, pig_f
         else:
-            value = rule.alpha * lower + (1 - rule.alpha) * upper
-        if value > 0:
-            verdict = STRICTLY_PREFERRED
-        elif value == 0:
-            verdict = WEAKLY_PREFERRED
-        else:
-            verdict = NOT_PREFERRED
-    return MoveEvaluation(lower=lower, upper=upper,
-                          pignistic_value=pig if want_pig else None,
-                          criterion_value=value, verdict=verdict)
+            a, b = rule.alpha.numerator, rule.alpha.denominator
+            if rule.kind == MIXTURE:
+                num = a * lower * pig_den + (b - a) * pig
+                value = Fraction(num, b * den * pig_den)
+            else:
+                num = a * lower + (b - a) * upper
+                value = Fraction(num, b * den)
+        verdict = (STRICTLY_PREFERRED if num > 0 else
+                   WEAKLY_PREFERRED if num == 0 else NOT_PREFERRED)
+    return MoveEvaluation(lower=lower_f, upper=Fraction(upper, den),
+                          pignistic_value=pig_f, criterion_value=value,
+                          verdict=verdict)
 
 
 def pignistic_cardinal(mass: MassFunction, voter_pref: Preference, frm: int,
@@ -210,8 +204,7 @@ def pignistic_cardinal(mass: MassFunction, voter_pref: Preference, frm: int,
     if len(mass.assignments) != 1:
         raise ValueError("pignistic_cardinal needs a single-focal mass")
     focal, _ = mass.assignments[0]
-    _, _, total, _ = _focal_stats(focal, MEIR_SIGN, voter_pref, frm, to, tie)
-    return int(total)
+    return _focal_stats(focal, MEIR_SIGN, voter_pref, frm, to, tie)[2]
 
 
 def completion_scores(voter_ballot: int, others: Sequence[PartialPreference],

@@ -21,7 +21,8 @@ from .decision import (
     UTILITY_MODELS,
     evaluate_move,
 )
-from .election import BallotProfile, Preference, Score, TieBreakOrder, tally
+from .election import (
+    BallotProfile, Preference, Score, TieBreakOrder, apply_move, tally)
 from .uncertainty import LayeredBelief, MassFunction, layered_to_mass
 
 CONVERGED = "converged"
@@ -135,10 +136,12 @@ def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder
         outcome = dict(options)[to]
         frm = state.profile.ballots[voter]
         profile = state.profile.with_ballot(voter, to)
+        # broadcast[frm] holds the mover's own vote, so apply_move's clamp
+        # never applies and score_after is the tally of the new profile.
         record = MoveRecord(step=state.step, voter=voter, frm=frm, to=to,
                             criterion_value=outcome.criterion_value,
                             score_before=broadcast,
-                            score_after=tally(profile.ballots, m))
+                            score_after=apply_move(broadcast, frm, to))
         return GameState(profile=profile, step=state.step + 1,
                          next_voter=(voter + 1) % n), record
     return None

@@ -105,9 +105,14 @@ class BallotProfile:
         return len(self.ballots)
 
     def with_ballot(self, voter: int, candidate: int) -> "BallotProfile":
+        """This profile with one ballot changed; only that ballot is checked."""
+        if candidate < 0:
+            raise ValueError("ballots must be candidate indices")
         ballots = list(self.ballots)
         ballots[voter] = candidate
-        return BallotProfile(tuple(ballots))
+        profile = object.__new__(BallotProfile)
+        object.__setattr__(profile, "ballots", tuple(ballots))
+        return profile
 
 
 def transitive_closure(pairs) -> frozenset[tuple[int, int]]:

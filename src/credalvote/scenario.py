@@ -334,6 +334,8 @@ def parse_scenario(text: str) -> Scenario:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError([f"invalid JSON: {e}"])
+    except RecursionError:
+        raise ScenarioError(["invalid JSON: nested too deeply"]) from None
     if not isinstance(raw, dict):
         raise ScenarioError(["top level must be a JSON object"])
 
@@ -538,6 +540,9 @@ def parse_trace(text: str) -> tuple[TraceRecord, ...]:
             raw = json.loads(line)
         except json.JSONDecodeError as e:
             errors.append(f"line {lineno}: invalid JSON: {e}")
+            continue
+        except RecursionError:
+            errors.append(f"line {lineno}: invalid JSON: nested too deeply")
             continue
         if not isinstance(raw, dict):
             errors.append(f"line {lineno}: expected an object")

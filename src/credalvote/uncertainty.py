@@ -70,6 +70,16 @@ class FocalElement:
         return cls(points=tuple(tuple(p) for p in points))
 
     @classmethod
+    def _trusted(cls, points: Sequence[Score], key: tuple) -> "FocalElement":
+        """Points already sorted, distinct, nonnegative and of one length, as
+        a neighborhood builds them; `key` determines the pair counts."""
+        focal = object.__new__(cls)
+        for name, value in (("points", tuple(points)), ("box", None),
+                            ("total", None), ("_key", key)):
+            object.__setattr__(focal, name, value)
+        return focal
+
+    @classmethod
     def from_box(cls, intervals, total: int | None = None) -> "FocalElement":
         return cls(box=tuple((int(lo), int(hi)) for lo, hi in intervals), total=total)
 
@@ -158,6 +168,11 @@ class MassFunction:
         for (f1, _), (f2, _) in itertools.combinations(norm, 2):
             if f1 == f2:
                 raise ValueError("focal elements must be distinct after canonicalization")
+        # The weights as integers over their common denominator, for
+        # aggregation in integers.
+        den = math.lcm(*(w.denominator for _, w in norm))
+        object.__setattr__(self, "_scaled", (den, tuple(
+            w.numerator * (den // w.denominator) for _, w in norm)))
 
     def support(self) -> tuple[Score, ...]:
         """Union of all focal expansions, sorted."""
@@ -312,30 +327,36 @@ def neighborhood(center: Score, spec: NeighborhoodSpec) -> FocalElement:
     neighborhood models challengers gaining, never the leader consolidating.
     """
     center = validate_score(tuple(center))
+    r = spec.radius
     if spec.metric == L1_ADDREMOVE:
-        points = _l1_ball(center, spec.radius)
+        points = _l1_ball(center, r)
     else:
-        points = _swap_ball(center, spec.radius)
-    return FocalElement.from_points(points)
+        points = _swap_ball(center, r)
+    # The signature: a point of the ball moves a gap to the top by at most 2r
+    # and a move by 2 more, so a candidate 2r+3 or more behind never wins;
+    # an entry above r stays positive, out of reach of the ball's bound at 0
+    # and of the clamp in apply_move. Centres with one signature give the
+    # same (winner-before, winner-after) pair counts for every move.
+    top = max(center, default=0)
+    signature = tuple([min(top - c, 2 * r + 3) for c in center]
+                      + [min(c, r + 1) for c in center])
+    return FocalElement._trusted(points, (spec.metric, r, signature))
 
 
 def _l1_ball(center: Score, radius: int) -> list[Score]:
-    out: list[Score] = []
-
-    def rec(i: int, budget: int, prefix: list[int]):
-        if i == len(center):
-            out.append(tuple(prefix))
-            if len(out) > DEFAULT_CAP:
-                raise ExpansionCapError(
-                    f"neighborhood expands past cap {DEFAULT_CAP}")
-            return
-        for delta in range(-min(center[i], budget), budget + 1):
-            prefix.append(center[i] + delta)
-            rec(i + 1, budget - abs(delta), prefix)
-            prefix.pop()
-
-    rec(0, radius, [])
-    return out
+    # Prefixes in lexicographic order with their remaining budget; every
+    # prefix extends to at least one point, so a layer past the cap means a
+    # ball past it. Each is counted before it is built, when it could pass.
+    layer: list[tuple[Score, int]] = [((), radius)]
+    for c in center:
+        if (len(layer) * (2 * radius + 1) > DEFAULT_CAP
+                and sum(b + min(c, b) + 1 for _, b in layer) > DEFAULT_CAP):
+            raise ExpansionCapError(
+                f"neighborhood expands past cap {DEFAULT_CAP}")
+        layer = [(prefix + (c + d,), budget - abs(d))
+                 for prefix, budget in layer
+                 for d in range(-min(c, budget), budget + 1)]
+    return [prefix for prefix, _ in layer]
 
 
 def _swap_ball(center: Score, radius: int) -> list[Score]:
@@ -378,11 +399,11 @@ def layered_to_mass(belief: LayeredBelief, center: Score) -> MassFunction:
         focals = [balls[0]]
         for prev, ball, r_prev, r in zip(balls, balls[1:],
                                          belief.radii, belief.radii[1:]):
-            ring = sorted(set(ball.expand()) - set(prev.expand()))
+            ring = sorted(set(ball.points) - set(prev.points))
             if not ring:
                 raise ValueError(
                     f"partitioned ring between radii {r_prev} and {r} is empty")
-            focals.append(FocalElement.from_points(ring))
+            focals.append(FocalElement._trusted(ring, (r_prev, ball._key)))
     return MassFunction(tuple(zip(focals, belief.weights)))
 
 

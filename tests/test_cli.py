@@ -15,7 +15,7 @@ from credalvote.scenario import (
     scenario_to_setup,
 )
 
-from test_scenario import PARTIAL_PREFERENCE
+from test_scenario import DEEP_JSON, PARTIAL_PREFERENCE
 
 
 def fake_family_setup(seed, family, n, m):
@@ -170,6 +170,17 @@ class TestErrors:
             assert captured.out == ""
             assert captured.err == ("error: voters[1].preference: "
                                     "expected 4 labels, got 3\n")
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        for command in ("simulate", "check", "verify"):
+            done = subprocess.run(
+                [sys.executable, "-m", "credalvote", command, str(path)],
+                capture_output=True, text=True)
+            assert done.returncode == 1
+            assert done.stdout == ""
+            assert done.stderr == "error: invalid JSON: nested too deeply\n"
 
     def test_more_than_26_candidates(self, capsys):
         for command in (["gen", "--seed", "1"], ["campaign", "--count", "1"]):

@@ -1,7 +1,9 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from credalvote import (
     CARDINAL_RANK,
@@ -10,13 +12,17 @@ from credalvote import (
     FocalElement,
     HURWICZ,
     L1_ADDREMOVE,
+    LayeredBelief,
+    METRICS,
     MEIR_SIGN,
     MIXTURE,
     MassFunction,
     MoveEvaluation,
+    NESTED,
     NOT_PREFERRED,
     NeighborhoodSpec,
     PESSIMISTIC,
+    PARTITIONED,
     PIGNISTIC,
     PartialPreference,
     Preference,
@@ -28,6 +34,7 @@ from credalvote import (
     completion_scores,
     dominating_manipulation,
     evaluate_move,
+    layered_to_mass,
     lower_expectation,
     neighborhood,
     pignistic,
@@ -36,6 +43,7 @@ from credalvote import (
     rank_utility,
     upper_expectation,
 )
+from credalvote.decision import _PAIR_COUNTS, _pair_counts
 from credalvote.oracles import raw_move_utility
 from credalvote.uncertainty import ExpansionCapError
 from strategies import mass_functions, preferences, tie_orders
@@ -332,6 +340,100 @@ class TestPairCountCache:
         # 47**3 points: the cap guard fires before the cache is consulted.
         with pytest.raises(ExpansionCapError):
             self.evaluate(FocalElement.from_box([(0, 46)] * 3))
+
+
+@st.composite
+def signature_twins(draw):
+    """A layered belief, a tie order and three centres.
+
+    With R the largest radius, the second centre has the first one's
+    signature (gaps to the top clipped at 2R+3, entries at R+1): it shifts
+    the entries near the top by k, which keeps their gaps and, when each of
+    them exceeds R, their clipped entries, and redraws each entry 2R+3 or
+    more below the top anywhere from R+1 up to 2R+3 below the new top,
+    leaving it alone when it is R or less. The third centre pulls one such
+    entry up to 2R+2 below the top, one inside the clip, so its signature
+    differs from the first one's only there.
+    """
+    m = draw(st.integers(3, 6))
+    metric = draw(st.sampled_from(METRICS))
+    radii = tuple(sorted(draw(st.sets(
+        st.integers(0, 3 if metric == L1_ADDREMOVE else 2),
+        min_size=1, max_size=2))))
+    belief = LayeredBelief(draw(st.sampled_from((NESTED, PARTITIONED))), radii,
+                           (Fraction(1, len(radii)),) * len(radii), metric)
+    r = radii[-1]
+    clip = 2 * r + 3
+    center = tuple(draw(st.lists(st.integers(0, 3 * r + 8), min_size=m,
+                                 max_size=m)))
+    top = max(center)
+    near = [c for c in center if top - c < clip]
+    shift = draw(st.integers(0, 4)) if min(near) > r else 0
+    twin = tuple(
+        c + shift if top - c < clip
+        else c if c <= r
+        else draw(st.integers(r + 1, top + shift - clip))
+        for c in center)
+    far = [i for i, c in enumerate(center) if top - c >= clip]
+    centers = [center, twin]
+    if far:
+        inside = list(center)
+        inside[far[0]] = top - clip + 1
+        centers.append(tuple(inside))
+    return belief, centers, draw(tie_orders(m))
+
+
+def layered_or_reject(belief, center):
+    try:
+        return layered_to_mass(belief, center)
+    except ValueError:  # an empty voter_swap ring
+        assume(False)
+
+
+class TestSignatureKeys:
+    """Neighborhood pair counts are shared by clipped gap signature."""
+
+    @given(signature_twins())
+    @settings(max_examples=150)
+    def test_centres_with_one_signature_share_counts(self, twins):
+        belief, centers, tie = twins
+        _PAIR_COUNTS.clear()  # so that a failure replays on its own
+        masses = [layered_or_reject(belief, c) for c in centers]
+        assert ([focal._key for focal, _ in masses[0].assignments]
+                == [focal._key for focal, _ in masses[1].assignments])
+        m = len(centers[0])
+        for mass, frm, to in itertools.product(masses, range(m), range(m)):
+            for focal, _ in mass.assignments:
+                fresh = Counter(
+                    (plurality_winner(s, tie),
+                     plurality_winner(apply_move(s, frm, to), tie))
+                    for s in focal.expand())
+                assert _pair_counts(focal, frm, to, tie) == fresh
+
+    @given(st.integers(3, 5).flatmap(lambda m: st.tuples(
+               st.lists(st.integers(0, 6), min_size=m, max_size=m),
+               tie_orders(m), preferences(m), st.integers(0, m - 1),
+               st.integers(0, m - 1))),
+           st.sampled_from(METRICS), st.sampled_from((NESTED, PARTITIONED)),
+           st.sampled_from(UTILITY_MODELS))
+    def test_trusted_focals_match_checked_ones(self, game, metric, kind,
+                                               model):
+        center, tie, pref, frm, to = game
+        radii = (1, 2) if metric == L1_ADDREMOVE else (0, 1)
+        belief = LayeredBelief(kind, radii, (HALF, HALF), metric)
+        focals = [neighborhood(center, NeighborhoodSpec(metric, r))
+                  for r in radii]
+        focals += [focal for focal, _ in
+                   layered_or_reject(belief, center).assignments]
+        for focal in focals:
+            checked = FocalElement.from_points(focal.expand())
+            assert focal == checked and checked == focal
+            assert hash(focal) == hash(checked)
+            rule = DecisionRule(MIXTURE, alpha=Fraction(1, 3))
+            assert (evaluate_move(MassFunction(((focal, Fraction(1)),)), rule,
+                                  model, pref, frm, to, tie)
+                    == evaluate_move(MassFunction(((checked, Fraction(1)),)),
+                                     rule, model, pref, frm, to, tie))
 
 
 class TestCompletionScores:

@@ -69,6 +69,15 @@ def test_scores_from_profile():
         tally(BallotProfile((3,)).ballots, ABC.m)
 
 
+def test_negative_ballots_rejected():
+    with pytest.raises(ValueError):
+        BallotProfile((-1,))
+    profile = BallotProfile((0, 2, 1))
+    with pytest.raises(ValueError):
+        profile.with_ballot(1, -1)
+    assert profile.with_ballot(1, 0) == BallotProfile((0, 0, 1))
+
+
 def test_winner_examples():
     tie = TieBreakOrder.default(4)
     assert plurality_winner((2, 2, 3, 3), tie) == 2

@@ -60,6 +60,9 @@ PARTIAL_PREFERENCE = """
 }
 """
 
+# Deeper than the JSON decoder's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 FIXTURES = ("example4", "prop1_counterexample", "equilibrium")
 
 
@@ -94,6 +97,9 @@ class TestParse:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario("{nope")
         assert "invalid JSON" in exc.value.errors[0]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(DEEP_JSON)
+        assert exc.value.errors == ("invalid JSON: nested too deeply",)
 
     def test_top_level_must_be_object(self):
         with pytest.raises(ScenarioError) as exc:
@@ -278,6 +284,13 @@ class TestTrace:
         text = "\n".join(exc.value.errors)
         assert "line 1.voter" in text
         assert "line 2: invalid JSON" in text
+
+    def test_deeply_nested_line(self):
+        records = self.make_records()
+        text = emit_trace(records[:1]) + DEEP_JSON + "\n"
+        with pytest.raises(ScenarioError) as exc:
+            parse_trace(text)
+        assert exc.value.errors == ("line 2: invalid JSON: nested too deeply",)
 
 
 class TestSummaryCsv:
