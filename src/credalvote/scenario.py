@@ -16,7 +16,8 @@ Belief variants in the `belief` object, by `kind`:
                          [{"score", "prob"}]}
 
 A focal element is {"points": [[...], ...]} or {"box": [[lo, hi], ...],
-"total"?: int}.
+"total"?: int}. Emission writes every belief that is not layered as a
+fixed_mass of sorted points.
 """
 from __future__ import annotations
 
@@ -447,23 +448,16 @@ def parse_scenario(text: str) -> Scenario:
                     family=family)
 
 
-def _emit_focal(focal: FocalElement) -> dict:
-    if focal.box is not None:
-        out = {"box": [list(iv) for iv in focal.box]}
-        if focal.total is not None:
-            out["total"] = focal.total
-        return out
-    return {"points": [list(p) for p in focal.points]}
-
-
 def _emit_belief(belief: LayeredBelief | MassFunction) -> dict:
     if isinstance(belief, LayeredBelief):
         return {"kind": belief.kind, "metric": belief.metric,
                 "radii": list(belief.radii),
                 "weights": [str(w) for w in belief.weights]}
     return {"kind": "fixed_mass",
-            "assignments": [{"focal": _emit_focal(focal), "weight": str(w)}
-                            for focal, w in belief.assignments]}
+            "assignments": [
+                {"focal": {"points": [list(p) for p in focal.points]},
+                 "weight": str(w)}
+                for focal, w in belief.assignments]}
 
 
 def emit_scenario(scenario: Scenario) -> str:

@@ -1,10 +1,10 @@
 """Belief functions over score vectors.
 
 A mass function assigns positive rational weights, summing to one, to focal
-elements (sets of score vectors). Focal elements are given either explicitly
-or as per-candidate integer boxes with an optional exact-total constraint.
-All arithmetic is exact (fractions.Fraction); every expansion of a focal
-element into points is guarded by a hard cardinality cap.
+elements (sets of score vectors). A focal element is its sorted point set;
+per-candidate integer boxes and neighborhoods are ways to build one. All
+arithmetic is exact (fractions.Fraction); every point set is guarded by a
+hard cardinality cap.
 """
 from __future__ import annotations
 
@@ -30,88 +30,63 @@ class ExpansionCapError(ValueError):
     """A focal element would expand past DEFAULT_CAP points."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FocalElement:
-    """A set of score vectors, explicit or box-shaped.
+    """A nonempty set of score vectors of one length, held sorted.
 
-    Equality and hashing are canonical: two focal elements are equal when they
-    expand to the same point set, whatever their representation.
+    The points are validated, sorted, deduplicated and checked against
+    DEFAULT_CAP once, when the element is built; `from_box` builds one from
+    per-candidate intervals.
     """
 
-    points: tuple[Score, ...] | None = None
-    box: tuple[tuple[int, int], ...] | None = None
-    total: int | None = None
+    points: tuple[Score, ...]
 
     def __post_init__(self):
-        if (self.points is None) == (self.box is None):
-            raise ValueError("focal element needs exactly one of points or box")
-        if self.points is not None:
-            if not self.points:
-                raise ValueError("explicit focal element is empty")
-            for p in self.points:
-                validate_score(p)
-            if len({len(p) for p in self.points}) != 1:
-                raise ValueError("focal points must share one length")
-            object.__setattr__(self, "points", tuple(sorted(set(self.points))))
-            if self.total is not None:
-                raise ValueError("total applies to box focal elements only")
-        else:
-            for lo, hi in self.box:
-                if not (0 <= lo <= hi):
-                    raise ValueError("box intervals need 0 <= lo <= hi")
-            if self.total is not None:
-                los = sum(lo for lo, _ in self.box)
-                his = sum(hi for _, hi in self.box)
-                if not los <= self.total <= his:
-                    raise ValueError("box with total constraint is empty")
+        if not self.points:
+            raise ValueError("focal element is empty")
+        for p in self.points:
+            validate_score(p)
+        if len({len(p) for p in self.points}) != 1:
+            raise ValueError("focal points must share one length")
+        points = tuple(sorted(set(self.points)))
+        if len(points) > DEFAULT_CAP:
+            raise ExpansionCapError(
+                f"focal element has {len(points)} points, cap is {DEFAULT_CAP}")
+        object.__setattr__(self, "points", points)
 
     @classmethod
     def from_points(cls, points: Iterable[Score]) -> "FocalElement":
-        return cls(points=tuple(tuple(p) for p in points))
+        return cls(tuple(tuple(p) for p in points))
 
     @classmethod
     def _trusted(cls, points: Sequence[Score], key: tuple) -> "FocalElement":
         """Points already sorted, distinct, nonnegative and of one length, as
         a neighborhood builds them; `key` determines the pair counts."""
         focal = object.__new__(cls)
-        for name, value in (("points", tuple(points)), ("box", None),
-                            ("total", None), ("_key", key)):
-            object.__setattr__(focal, name, value)
+        object.__setattr__(focal, "points", tuple(points))
+        object.__setattr__(focal, "_key", key)
         return focal
 
     @classmethod
     def from_box(cls, intervals, total: int | None = None) -> "FocalElement":
-        return cls(box=tuple((int(lo), int(hi)) for lo, hi in intervals), total=total)
+        """The integer points of a box, filtered to an exact total if given."""
+        box = tuple((int(lo), int(hi)) for lo, hi in intervals)
+        for lo, hi in box:
+            if not (0 <= lo <= hi):
+                raise ValueError("box intervals need 0 <= lo <= hi")
+        if total is not None and not (sum(lo for lo, _ in box) <= total
+                                      <= sum(hi for _, hi in box)):
+            raise ValueError("box with total constraint is empty")
+        return cls(tuple(_box_points(box, total)))
 
     def expand(self) -> tuple[Score, ...]:
-        """All points of the focal element, sorted. Errors past DEFAULT_CAP."""
-        cached = getattr(self, "_expanded", None)
-        if cached is None:
-            if self.points is not None:
-                cached = self.points
-            else:
-                cached = tuple(sorted(_box_points(self.box, self.total)))
-                if not cached:
-                    raise ValueError("box focal element is empty")
-            object.__setattr__(self, "_expanded", cached)
-        if len(cached) > DEFAULT_CAP:
-            raise ExpansionCapError(
-                f"focal element has {len(cached)} points, cap is {DEFAULT_CAP}")
-        return cached
-
-    def __eq__(self, other):
-        if not isinstance(other, FocalElement):
-            return NotImplemented
-        if self.points is not None and other.points is not None:
-            return self.points == other.points
-        if self.box is not None and self.box == other.box and self.total == other.total:
-            return True
-        return self.expand() == other.expand()
+        """All points of the focal element, sorted."""
+        return self.points
 
     def __hash__(self):
         cached = getattr(self, "_hash", None)
         if cached is None:
-            cached = hash(self.expand())
+            cached = hash(self.points)
             object.__setattr__(self, "_hash", cached)
         return cached
 
@@ -210,18 +185,6 @@ class ScoreDistribution:
 
 
 @dataclass(frozen=True)
-class NeighborhoodSpec:
-    metric: str
-    radius: int
-
-    def __post_init__(self):
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-
-
-@dataclass(frozen=True)
 class LayeredBelief:
     """Nested or partitioned layers of neighborhoods, centered by
     `layered_to_mass` on any score (in the dynamics, each broadcast score).
@@ -261,26 +224,6 @@ class LayeredBelief:
         return all(a >= b for a, b in zip(self.weights, self.weights[1:]))
 
 
-def lower_probability(mass: MassFunction, event: Iterable[Score]) -> Fraction:
-    """Total weight of focal elements entirely inside the event."""
-    ev = {tuple(s) for s in event}
-    total = Fraction(0)
-    for focal, w in mass.assignments:
-        if all(p in ev for p in focal.expand()):
-            total += w
-    return total
-
-
-def upper_probability(mass: MassFunction, event: Iterable[Score]) -> Fraction:
-    """Total weight of focal elements touching the event."""
-    ev = {tuple(s) for s in event}
-    total = Fraction(0)
-    for focal, w in mass.assignments:
-        if any(p in ev for p in focal.expand()):
-            total += w
-    return total
-
-
 def _as_function(u) -> Callable[[Score], Fraction]:
     if callable(u):
         return u
@@ -303,6 +246,20 @@ def upper_expectation(mass: MassFunction, u) -> Fraction:
                 for focal, w in mass.assignments), Fraction(0))
 
 
+def lower_probability(mass: MassFunction, event: Iterable[Score]) -> Fraction:
+    """Belief of the event: the lower expectation of its indicator, the
+    total weight of focal elements entirely inside it."""
+    ev = {tuple(s) for s in event}
+    return lower_expectation(mass, lambda s: int(s in ev))
+
+
+def upper_probability(mass: MassFunction, event: Iterable[Score]) -> Fraction:
+    """Plausibility of the event: the upper expectation of its indicator,
+    the total weight of focal elements touching it."""
+    ev = {tuple(s) for s in event}
+    return upper_expectation(mass, lambda s: int(s in ev))
+
+
 def pignistic(mass: MassFunction) -> ScoreDistribution:
     """Spread each focal element's weight uniformly over its points."""
     acc: dict[Score, Fraction] = {}
@@ -314,8 +271,8 @@ def pignistic(mass: MassFunction) -> ScoreDistribution:
     return ScoreDistribution(tuple(acc.items()))
 
 
-def neighborhood(center: Score, spec: NeighborhoodSpec) -> FocalElement:
-    """The set of score vectors within `spec.radius` of `center`.
+def neighborhood(center: Score, metric: str, radius: int) -> FocalElement:
+    """The set of score vectors within `radius` of `center` under `metric`.
 
     l1_addremove: all nonnegative integer vectors within l1 distance r; the
     vote total may drift by up to r (votes appear or vanish, as with late
@@ -326,9 +283,13 @@ def neighborhood(center: Score, spec: NeighborhoodSpec) -> FocalElement:
     center's current plurality winner (ties by candidate index), so the
     neighborhood models challengers gaining, never the leader consolidating.
     """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     center = validate_score(tuple(center))
-    r = spec.radius
-    if spec.metric == L1_ADDREMOVE:
+    r = radius
+    if metric == L1_ADDREMOVE:
         points = _l1_ball(center, r)
     else:
         points = _swap_ball(center, r)
@@ -340,7 +301,7 @@ def neighborhood(center: Score, spec: NeighborhoodSpec) -> FocalElement:
     top = max(center, default=0)
     signature = tuple([min(top - c, 2 * r + 3) for c in center]
                       + [min(c, r + 1) for c in center])
-    return FocalElement._trusted(points, (spec.metric, r, signature))
+    return FocalElement._trusted(points, (metric, r, signature))
 
 
 def _l1_ball(center: Score, radius: int) -> list[Score]:
@@ -391,20 +352,27 @@ def _swap_ball(center: Score, radius: int) -> list[Score]:
 def layered_to_mass(belief: LayeredBelief, center: Score) -> MassFunction:
     """Materialize a layered belief around `center` as focal elements with the
     layer weights."""
-    balls = [neighborhood(center, NeighborhoodSpec(belief.metric, r))
-             for r in belief.radii]
-    if belief.kind == NESTED:
-        focals = balls
-    else:
-        focals = [balls[0]]
-        for prev, ball, r_prev, r in zip(balls, balls[1:],
-                                         belief.radii, belief.radii[1:]):
+    balls = [neighborhood(center, belief.metric, r) for r in belief.radii]
+    focals = [balls[0]]
+    weights = [belief.weights[0]]
+    for prev, ball, r_prev, r, w in zip(balls, balls[1:], belief.radii,
+                                        belief.radii[1:], belief.weights[1:]):
+        if belief.kind == NESTED:
+            # A ball contains the one before it, so one of the same size is
+            # the same set; its weight joins that set's, which leaves every
+            # lower, upper and pignistic value unchanged.
+            if len(ball.points) == len(prev.points):
+                weights[-1] += w
+                continue
+            focals.append(ball)
+        else:
             ring = sorted(set(ball.points) - set(prev.points))
             if not ring:
                 raise ValueError(
                     f"partitioned ring between radii {r_prev} and {r} is empty")
             focals.append(FocalElement._trusted(ring, (r_prev, ball._key)))
-    return MassFunction(tuple(zip(focals, belief.weights)))
+        weights.append(w)
+    return MassFunction(tuple(zip(focals, weights)))
 
 
 def classify(mass: MassFunction, universe: Iterable[Score] | None = None) -> str:

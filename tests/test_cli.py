@@ -171,6 +171,25 @@ class TestErrors:
             assert captured.err == ("error: voters[1].preference: "
                                     "expected 4 labels, got 3\n")
 
+    def test_box_past_the_cap_is_a_parse_error(self, capsys, tmp_path):
+        # A focal element is capped when it is built, so each voter's
+        # 47**3-point box is reported at its path before anything runs.
+        box = {"box": [[0, 46]] * 3}
+        path = tmp_path / "big_box.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "candidates": ["a", "b", "c"],
+            "voters": [{"preference": pref,
+                        "belief": {"kind": "set", "focal": box},
+                        "rule": {"kind": "pessimistic"},
+                        "utility": "meir_sign"}
+                       for pref in (["a", "b", "c"], ["b", "c", "a"])]}))
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: voters[0].belief.focal: box expands past cap 100000\n"
+            "error: voters[1].belief.focal: box expands past cap 100000\n")
+
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text(DEEP_JSON)

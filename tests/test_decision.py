@@ -20,7 +20,6 @@ from credalvote import (
     MoveEvaluation,
     NESTED,
     NOT_PREFERRED,
-    NeighborhoodSpec,
     PESSIMISTIC,
     PARTITIONED,
     PIGNISTIC,
@@ -273,7 +272,7 @@ class TestPignisticCardinal:
 
     @staticmethod
     def ball_mass(center):
-        focal = neighborhood(center, NeighborhoodSpec(L1_ADDREMOVE, 1))
+        focal = neighborhood(center, L1_ADDREMOVE, 1)
         return MassFunction(((focal, Fraction(1)),))
 
     def test_requires_single_focal(self):
@@ -323,7 +322,7 @@ class TestPairCountCache:
         assert self.evaluate(tie_state).verdict == STRICTLY_PREFERRED
         assert self.evaluate(landslide).verdict == WEAKLY_PREFERRED
 
-        ball = neighborhood((1, 1, 0), NeighborhoodSpec(L1_ADDREMOVE, 1))
+        ball = neighborhood((1, 1, 0), L1_ADDREMOVE, 1)
         copy = FocalElement.from_points(ball.expand())
         assert self.evaluate(ball) == self.evaluate(copy)
 
@@ -421,7 +420,7 @@ class TestSignatureKeys:
         center, tie, pref, frm, to = game
         radii = (1, 2) if metric == L1_ADDREMOVE else (0, 1)
         belief = LayeredBelief(kind, radii, (HALF, HALF), metric)
-        focals = [neighborhood(center, NeighborhoodSpec(metric, r))
+        focals = [neighborhood(center, metric, r)
                   for r in radii]
         focals += [focal for focal, _ in
                    layered_or_reject(belief, center).assignments]

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from credalvote import (
     tally,
     truthful_profile,
 )
+from credalvote.dynamics import _layered_mass
 from credalvote.oracles import oracle_equilibrium
 from strategies import small_games
 
@@ -88,6 +90,10 @@ class TestTemplatesAndConfigs:
                              rule=DecisionRule(PESSIMISTIC), utility=MEIR_SIGN)
         assert config.mass_at((1, 1, 1)) is config.mass_at((1, 1, 1))
         assert config.mass_at((1, 1, 1)) != config.mass_at((2, 1, 1))
+
+    def test_recentring_cache_is_bounded(self):
+        maxsize = _layered_mass.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10**6
 
     def test_voter_config_validation(self):
         belief = LayeredBelief(kind=NESTED, radii=(1,),
@@ -193,6 +199,25 @@ class TestRun:
                                             setup.tie)
         assert not stable
         assert witness == (0, 0, 1)
+
+    def test_coinciding_nested_balls_run(self):
+        # Both voters' radius-2 and radius-3 voter_swap balls around (2, 0, 0)
+        # are all six 2-vote scores, one focal element under two layers.
+        belief = {"kind": "nested", "metric": "voter_swap", "radii": [2, 3],
+                  "weights": ["1/2", "1/2"]}
+        voters = [{"preference": pref, "belief": belief,
+                   "rule": {"kind": "pignistic"}, "utility": "meir_sign"}
+                  for pref in (["b", "a", "c"], ["c", "b", "a"])]
+        scenario = parse_scenario(json.dumps({
+            "format_version": 1, "candidates": ["a", "b", "c"],
+            "voters": voters, "initial_ballots": ["a", "a"]}))
+        setup = scenario_to_setup(scenario)
+        outcome = run(*_unpack(setup))
+        assert outcome.status == CONVERGED
+        for state in (setup.initial, outcome.final):
+            stable, _ = equilibrium_check(state, setup.configs, setup.tie)
+            assert stable == oracle_equilibrium(state, setup.configs,
+                                                setup.tie)
 
     def test_step_limit_on_contested_profile(self):
         outcome = run(*_unpack(prop_setup(max_steps=1)), max_steps=1)

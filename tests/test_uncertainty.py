@@ -10,7 +10,6 @@ from credalvote import (
     L1_ADDREMOVE,
     LayeredBelief,
     MassFunction,
-    NeighborhoodSpec,
     ScoreDistribution,
     VOTER_SWAP,
     classify,
@@ -66,18 +65,19 @@ class TestFocalElement:
             FocalElement.from_box([(2, 1)])
 
     def test_total_needs_box(self):
-        with pytest.raises(ValueError):
+        # A focal element is its points; only from_box takes a total.
+        with pytest.raises(TypeError):
             FocalElement(points=((1, 1),), total=2)
 
     def test_expansion_cap(self):
         # A box of 10**6 points, a box whose points of total 120 outnumber
-        # the cap, and DEFAULT_CAP + 1 explicit points.
-        for focal in (FocalElement.from_box([(0, 9)] * 6),
-                      FocalElement.from_box([(0, 60)] * 4, total=120),
-                      FocalElement.from_points(
-                          (i, 0) for i in range(DEFAULT_CAP + 1))):
-            with pytest.raises(ExpansionCapError):
-                focal.expand()
+        # the cap, and DEFAULT_CAP + 1 explicit points: each fails when built.
+        with pytest.raises(ExpansionCapError):
+            FocalElement.from_box([(0, 9)] * 6)
+        with pytest.raises(ExpansionCapError):
+            FocalElement.from_box([(0, 60)] * 4, total=120)
+        with pytest.raises(ExpansionCapError):
+            FocalElement.from_points((i, 0) for i in range(DEFAULT_CAP + 1))
 
 
 class TestMassFunction:
@@ -207,55 +207,52 @@ class TestScoreDistribution:
 
 class TestNeighborhoods:
     def test_l1_pinned_nine_vectors(self):
-        ball = neighborhood((2, 2, 3, 3), NeighborhoodSpec(L1_ADDREMOVE, 1))
+        ball = neighborhood((2, 2, 3, 3), L1_ADDREMOVE, 1)
         assert set(ball.expand()) == {
             (2, 2, 3, 3), (1, 2, 3, 3), (2, 1, 3, 3), (2, 2, 2, 3),
             (2, 2, 3, 2), (3, 2, 3, 3), (2, 3, 3, 3), (2, 2, 4, 3),
             (2, 2, 3, 4)}
 
     def test_swap_pinned_four_vectors(self):
-        ball = neighborhood((0, 2, 1), NeighborhoodSpec(VOTER_SWAP, 1))
+        ball = neighborhood((0, 2, 1), VOTER_SWAP, 1)
         assert set(ball.expand()) == {
             (0, 2, 1), (1, 1, 1), (0, 1, 2), (1, 2, 0)}
 
     def test_swap_radius_two(self):
-        ball = neighborhood((0, 2, 1), NeighborhoodSpec(VOTER_SWAP, 2))
+        ball = neighborhood((0, 2, 1), VOTER_SWAP, 2)
         assert set(ball.expand()) == {
             (0, 2, 1), (1, 1, 1), (0, 1, 2), (1, 2, 0), (0, 0, 3),
             (1, 0, 2), (2, 0, 1), (2, 1, 0)}
 
     def test_radius_zero(self):
         for metric in (L1_ADDREMOVE, VOTER_SWAP):
-            assert neighborhood((2, 0, 1), NeighborhoodSpec(metric, 0)
-                                ).expand() == ((2, 0, 1),)
+            assert neighborhood((2, 0, 1), metric, 0).expand() == ((2, 0, 1),)
 
     @given(scores(m=3, max_votes=3), st.integers(0, 2))
     def test_l1_membership(self, center, r):
-        ball = neighborhood(center, NeighborhoodSpec(L1_ADDREMOVE, r))
+        ball = neighborhood(center, L1_ADDREMOVE, r)
         for p in ball.expand():
             assert sum(abs(a - b) for a, b in zip(p, center)) <= r
             assert all(x >= 0 for x in p)
 
     @given(scores(m=3, max_votes=3), st.integers(0, 2))
     def test_swap_inside_double_l1(self, center, r):
-        swap = set(neighborhood(center, NeighborhoodSpec(VOTER_SWAP, r)
-                                ).expand())
-        l1 = set(neighborhood(center, NeighborhoodSpec(L1_ADDREMOVE, 2 * r)
-                              ).expand())
+        swap = set(neighborhood(center, VOTER_SWAP, r).expand())
+        l1 = set(neighborhood(center, L1_ADDREMOVE, 2 * r).expand())
         assert swap <= l1
         assert all(sum(p) == sum(center) for p in swap)
 
     @given(scores(m=3, max_votes=3), st.integers(1, 2))
     def test_swap_never_feeds_the_leader(self, center, r):
         leader = plurality_winner(center, TieBreakOrder.default(3))
-        ball = neighborhood(center, NeighborhoodSpec(VOTER_SWAP, r))
+        ball = neighborhood(center, VOTER_SWAP, r)
         assert all(p[leader] <= center[leader] for p in ball.expand())
 
     def test_cap(self):
         with pytest.raises(ExpansionCapError):
-            neighborhood((10,) * 6, NeighborhoodSpec(L1_ADDREMOVE, 10))
+            neighborhood((10,) * 6, L1_ADDREMOVE, 10)
         with pytest.raises(ExpansionCapError):
-            neighborhood((20,) * 8, NeighborhoodSpec(VOTER_SWAP, 6))
+            neighborhood((20,) * 8, VOTER_SWAP, 6)
 
 
 class TestLayered:
@@ -277,10 +274,19 @@ class TestLayered:
         for i in range(len(expansions)):
             for j in range(i + 1, len(expansions)):
                 assert not expansions[i] & expansions[j]
-        ball3 = set(neighborhood((10, 9, 11),
-                                 NeighborhoodSpec(L1_ADDREMOVE, 3)).expand())
+        ball3 = set(neighborhood((10, 9, 11), L1_ADDREMOVE, 3).expand())
         assert set().union(*expansions) == ball3
         assert classify(mass) == "inner"
+
+    def test_coinciding_nested_balls_fold(self):
+        # From (2, 0, 0) two swaps already reach every 2-vote score, so the
+        # radius-3 ball is the radius-2 ball and its weight joins it.
+        layered = LayeredBelief(kind="nested", radii=(2, 3),
+                                weights=(HALF, HALF), metric=VOTER_SWAP)
+        mass = layered_to_mass(layered, (2, 0, 0))
+        ball = neighborhood((2, 0, 0), VOTER_SWAP, 2)
+        assert neighborhood((2, 0, 0), VOTER_SWAP, 3) == ball
+        assert mass.assignments == ((ball, Fraction(1)),)
 
     def test_empty_swap_ring_rejected(self):
         layered = LayeredBelief(kind="partitioned", radii=(1, 2),
