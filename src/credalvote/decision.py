@@ -9,7 +9,6 @@ the zero threshold unambiguous.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -23,7 +22,7 @@ from .election import (
     plurality_winner,
     possible_tops,
 )
-from .uncertainty import DEFAULT_CAP, ExpansionCapError, FocalElement, MassFunction
+from .uncertainty import FocalElement, MassFunction, product_mass
 
 MEIR_SIGN = "meir_sign"
 DIRECT_BEST_RESPONSE = "direct_best_response"
@@ -83,8 +82,24 @@ class MoveEvaluation:
             raise ValueError("lower expectation exceeds upper expectation")
 
 
+# Entries kept in each table below. A full table is emptied: that costs
+# O(1) per entry stored, and the tables stay plain dicts, which the garbage
+# collector stops scanning once they hold only ints and tuples. Memory stays
+# flat over long campaigns; neither benchmark workload fills a table.
+_CACHE_SIZE = 16_384
+
+# Winners under the last tie order used, the one key of this dict: runs
+# keep one order, and a lookup by score alone stays cheap.
 _WINNERS: dict[tuple[int, ...], dict[Score, int]] = {}
 _PAIR_COUNTS: dict[tuple, dict[tuple[int, int], int]] = {}
+
+
+def _put(table: dict, key, value):
+    """Store `value` under `key`, emptying the table first when it is full."""
+    if len(table) >= _CACHE_SIZE:
+        table.clear()
+    table[key] = value
+    return value
 
 
 def _pair_counts(focal: FocalElement, frm: int, to: int,
@@ -100,18 +115,21 @@ def _pair_counts(focal: FocalElement, frm: int, to: int,
     counts = _PAIR_COUNTS.get(key)
     if counts is None:
         counts = {}
-        winners = _WINNERS.setdefault(tie.order, {})
+        winners = _WINNERS.get(tie.order)
+        if winners is None:
+            _WINNERS.clear()
+            winners = _WINNERS[tie.order] = {}
         for s in focal.expand():
             before = winners.get(s)
             if before is None:
-                before = winners[s] = plurality_winner(s, tie)
+                before = _put(winners, s, plurality_winner(s, tie))
             t = apply_move(s, frm, to)
             after = winners.get(t)
             if after is None:
-                after = winners[t] = plurality_winner(t, tie)
+                after = _put(winners, t, plurality_winner(t, tie))
             pair = (before, after)
             counts[pair] = counts.get(pair, 0) + 1
-        _PAIR_COUNTS[key] = counts
+        _put(_PAIR_COUNTS, key, counts)
     return counts
 
 
@@ -207,42 +225,21 @@ def pignistic_cardinal(mass: MassFunction, voter_pref: Preference, frm: int,
     return _focal_stats(focal, MEIR_SIGN, voter_pref, frm, to, tie)[2]
 
 
-def completion_scores(voter_ballot: int, others: Sequence[PartialPreference],
-                      m: int) -> tuple[Score, ...]:
-    """Scores consistent with every completion of the others' partial orders.
-
-    Each other voter votes for the top of their completed order, which ranges
-    exactly over the maximal elements of their partial order; the evaluating
-    voter's own ballot is included in every score.
-    """
-    tops = [sorted(possible_tops(p, m)) for p in others]
-    combos = 1
-    for t in tops:
-        combos *= len(t)
-        if combos > DEFAULT_CAP:
-            raise ExpansionCapError(f"completion count exceeds cap {DEFAULT_CAP}")
-    scores = set()
-    for picks in itertools.product(*tops):
-        counts = [0] * m
-        counts[voter_ballot] += 1
-        for c in picks:
-            counts[c] += 1
-        scores.add(tuple(counts))
-    return tuple(sorted(scores))
-
-
 def dominating_manipulation(voter_pref: Preference,
                             others: Sequence[PartialPreference], frm: int,
                             to: int, tie: TieBreakOrder) -> bool:
     """True when the move never hurts and sometimes helps, over all completions.
 
-    The completions' score set becomes a single vacuous focal element; the
-    pessimistic rule with the sign utility is strict exactly when no state
-    yields -1 and some state yields +1.
+    Each other voter votes for the top of their completed order, which ranges
+    exactly over the maximal elements of their partial order. The product
+    mass of those certain ballot sets, with the voter's own ballot, has one
+    focal element: the score set of every completion. The pessimistic rule
+    with the sign utility is strict exactly when no state yields -1 and some
+    state yields +1.
     """
     m = len(voter_pref.ranking)
-    scores = completion_scores(frm, others, m)
-    mass = MassFunction(((FocalElement.from_points(scores), Fraction(1)),))
+    mass = product_mass([[((frm,), 1)]]
+                        + [[(possible_tops(p, m), 1)] for p in others], m)
     outcome = evaluate_move(mass, DecisionRule(PESSIMISTIC), MEIR_SIGN,
                             voter_pref, frm, to, tie)
     return outcome.verdict == STRICTLY_PREFERRED

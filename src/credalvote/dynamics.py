@@ -67,6 +67,13 @@ class VoterConfig:
 
 @dataclass(frozen=True)
 class GameState:
+    """A ballot profile and the scheduler's position.
+
+    A state made by `step` also carries its broadcast score as the private
+    `_broadcast`, so the next step need not tally; it is not a field, so
+    equality and construction ignore it.
+    """
+
     profile: BallotProfile
     step: int = 0
     next_voter: int = 0
@@ -130,8 +137,10 @@ def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder
          ) -> tuple[GameState, MoveRecord] | None:
     """Execute one move, or return None when the state is stable."""
     n = state.profile.n
-    m = len(configs[0].preference.ranking)
-    broadcast = tally(state.profile.ballots, m)
+    broadcast = getattr(state, "_broadcast", None)
+    if broadcast is None:
+        broadcast = tally(state.profile.ballots,
+                          len(configs[0].preference.ranking))
     for k in range(n):
         voter = (state.next_voter + k) % n
         config = configs[voter]
@@ -144,12 +153,14 @@ def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder
         profile = state.profile.with_ballot(voter, to)
         # broadcast[frm] holds the mover's own vote, so apply_move's clamp
         # never applies and score_after is the tally of the new profile.
+        after = apply_move(broadcast, frm, to)
         record = MoveRecord(step=state.step, voter=voter, frm=frm, to=to,
                             criterion_value=outcome.criterion_value,
-                            score_before=broadcast,
-                            score_after=apply_move(broadcast, frm, to))
-        return GameState(profile=profile, step=state.step + 1,
-                         next_voter=(voter + 1) % n), record
+                            score_before=broadcast, score_after=after)
+        moved = GameState(profile=profile, step=state.step + 1,
+                          next_voter=(voter + 1) % n)
+        object.__setattr__(moved, "_broadcast", after)
+        return moved, record
     return None
 
 

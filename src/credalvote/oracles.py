@@ -20,7 +20,7 @@ from .election import (
     linear_extensions,
     plurality_winner,
 )
-from .uncertainty import MassFunction, ScoreDistribution
+from .uncertainty import FocalElement, MassFunction
 from .decision import (
     CARDINAL_RANK,
     DIRECT_BEST_RESPONSE,
@@ -70,9 +70,9 @@ def oracle_upper_expectation(mass: MassFunction, u) -> Fraction:
     return max(_selection_values(mass, u))
 
 
-def oracle_pignistic(mass: MassFunction) -> ScoreDistribution:
+def oracle_pignistic(mass: MassFunction) -> MassFunction:
     """Point-first pignistic transform: for each score point, sum the weight
-    shares of the focal elements containing it."""
+    shares of the focal elements containing it, as a Bayesian mass."""
     expanded = [(set(focal.expand()), focal.expand(), w)
                 for focal, w in mass.assignments]
     universe = sorted(set().union(*[points for points, _, _ in expanded]))
@@ -83,8 +83,8 @@ def oracle_pignistic(mass: MassFunction) -> ScoreDistribution:
             if point in members:
                 prob += w / len(points)
         if prob > 0:
-            support.append((point, prob))
-    return ScoreDistribution(tuple(support))
+            support.append((FocalElement((point,)), prob))
+    return MassFunction(tuple(support))
 
 
 def raw_move_utility(model: str, pref: Preference, frm: int, to: int, s: Score,
@@ -121,8 +121,9 @@ def _raw_verdict_is_strict(mass: MassFunction, config: VoterConfig, frm: int,
     if rule.kind == PESSIMISTIC:
         return lower >= 0 and upper > 0
     if rule.kind in (PIGNISTIC, MIXTURE):
-        pig = oracle_pignistic(mass).expectation(
-            lambda s: raw_move_utility(model, pref, frm, to, s, tie))
+        singletons = oracle_pignistic(mass).assignments
+        pig = sum(w * raw_move_utility(model, pref, frm, to, f.points[0], tie)
+                  for f, w in singletons)
         if rule.kind == PIGNISTIC:
             return pig > 0
         return rule.alpha * lower + (1 - rule.alpha) * pig > 0

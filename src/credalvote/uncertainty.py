@@ -140,9 +140,8 @@ class MassFunction:
             raise ValueError("every mass weight must be positive")
         if sum(w for _, w in norm) != 1:
             raise ValueError("mass weights must sum to exactly 1")
-        for (f1, _), (f2, _) in itertools.combinations(norm, 2):
-            if f1 == f2:
-                raise ValueError("focal elements must be distinct after canonicalization")
+        if len({focal for focal, _ in norm}) != len(norm):
+            raise ValueError("focal elements must be distinct after canonicalization")
         # The weights as integers over their common denominator, for
         # aggregation in integers.
         den = math.lcm(*(w.denominator for _, w in norm))
@@ -155,33 +154,6 @@ class MassFunction:
         for focal, _ in self.assignments:
             points.update(focal.expand())
         return tuple(sorted(points))
-
-
-@dataclass(frozen=True)
-class ScoreDistribution:
-    """An exact probability distribution over score vectors."""
-
-    support: tuple[tuple[Score, Fraction], ...]
-
-    def __post_init__(self):
-        norm = tuple(sorted((tuple(s), Fraction(p)) for s, p in self.support))
-        object.__setattr__(self, "support", norm)
-        if any(p <= 0 for _, p in norm):
-            raise ValueError("probabilities must be positive")
-        if sum(p for _, p in norm) != 1:
-            raise ValueError("probabilities must sum to exactly 1")
-        if len({s for s, _ in norm}) != len(norm):
-            raise ValueError("duplicate score in distribution support")
-
-    def probability(self, score: Score) -> Fraction:
-        for s, p in self.support:
-            if s == score:
-                return p
-        return Fraction(0)
-
-    def expectation(self, u) -> Fraction:
-        fn = _as_function(u)
-        return sum((p * Fraction(fn(s)) for s, p in self.support), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -260,15 +232,22 @@ def upper_probability(mass: MassFunction, event: Iterable[Score]) -> Fraction:
     return upper_expectation(mass, lambda s: int(s in ev))
 
 
-def pignistic(mass: MassFunction) -> ScoreDistribution:
-    """Spread each focal element's weight uniformly over its points."""
+def pignistic(mass: MassFunction) -> MassFunction:
+    """The Bayesian mass that spreads each focal element's weight uniformly
+    over its points."""
     acc: dict[Score, Fraction] = {}
     for focal, w in mass.assignments:
         points = focal.expand()
         share = w / len(points)
         for p in points:
             acc[p] = acc.get(p, Fraction(0)) + share
-    return ScoreDistribution(tuple(acc.items()))
+    return _bayesian(acc.items())
+
+
+def _bayesian(probabilities: Iterable[tuple[Score, Fraction]]) -> MassFunction:
+    """One singleton focal element per score, sorted by score."""
+    return MassFunction(tuple((FocalElement((s,)), p)
+                              for s, p in sorted(probabilities)))
 
 
 def neighborhood(center: Score, metric: str, radius: int) -> FocalElement:
@@ -449,8 +428,9 @@ def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]
         (FocalElement.from_points(points), w) for points, w in merged.items()))
 
 
-def multinomial_distribution(q: Sequence[Fraction], n: int) -> ScoreDistribution:
-    """Exact multinomial distribution over all score vectors summing to n."""
+def multinomial_distribution(q: Sequence[Fraction], n: int) -> MassFunction:
+    """Exact multinomial distribution over all score vectors summing to n, as
+    a Bayesian mass."""
     q = [Fraction(x) for x in q]
     if not q:
         raise ValueError("need at least one weight")
@@ -472,4 +452,4 @@ def multinomial_distribution(q: Sequence[Fraction], n: int) -> ScoreDistribution
             prob *= qx ** sx / math.factorial(sx)
         if prob > 0:
             support.append((s, prob))
-    return ScoreDistribution(tuple(support))
+    return _bayesian(support)

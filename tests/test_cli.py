@@ -190,6 +190,24 @@ class TestErrors:
             "error: voters[0].belief.focal: box expands past cap 100000\n"
             "error: voters[1].belief.focal: box expands past cap 100000\n")
 
+    def test_a_ball_past_the_cap_while_running(self, capsys, tmp_path):
+        # 120 ballots spread over six candidates: the radius-12 ball around
+        # (20, ..., 20) passes the cap only once the dynamics centre it.
+        labels = list("abcdef")
+        belief = {"kind": "nested", "metric": "l1_addremove", "radii": [12],
+                  "weights": ["1"]}
+        path = tmp_path / "big_ball.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "candidates": labels,
+            "voters": [{"preference": labels[c:] + labels[:c],
+                        "belief": belief, "rule": {"kind": "pessimistic"},
+                        "utility": "meir_sign"}
+                       for c in range(6) for _ in range(20)]}))
+        assert main(["simulate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: neighborhood expands past cap 100000\n"
+
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text(DEEP_JSON)

@@ -26,23 +26,28 @@ from credalvote import (
     PartialPreference,
     Preference,
     STRICTLY_PREFERRED,
+    THEOREM1_NESTED,
     TieBreakOrder,
     UTILITY_MODELS,
     WEAKLY_PREFERRED,
     apply_move,
-    completion_scores,
+    campaign,
     dominating_manipulation,
     evaluate_move,
+    family_setup,
     layered_to_mass,
     lower_expectation,
     neighborhood,
     pignistic,
     pignistic_cardinal,
     plurality_winner,
+    possible_tops,
+    product_mass,
     rank_utility,
     upper_expectation,
 )
-from credalvote.decision import _PAIR_COUNTS, _pair_counts
+from credalvote import decision
+from credalvote.decision import _PAIR_COUNTS, _WINNERS, _pair_counts
 from credalvote.oracles import raw_move_utility
 from credalvote.uncertainty import ExpansionCapError
 from strategies import mass_functions, preferences, tie_orders
@@ -185,7 +190,7 @@ class TestEvaluateMove:
 
         lower = lower_expectation(mass, u)
         upper = upper_expectation(mass, u)
-        pig = pignistic(mass).expectation(u)
+        pig = lower_expectation(pignistic(mass), u)
 
         out = evaluate_move(mass, DecisionRule(PESSIMISTIC), model, pref,
                             frm, to, tie)
@@ -335,10 +340,22 @@ class TestPairCountCache:
                 labelled = FocalElement.from_points(points, tag="t")
                 assert self.evaluate(labelled).verdict == verdict
 
-    def test_a_box_past_the_cap_raises(self):
-        # 47**3 points: the cap guard fires before the cache is consulted.
-        with pytest.raises(ExpansionCapError):
-            self.evaluate(FocalElement.from_box([(0, 46)] * 3))
+    def test_tables_stay_within_their_bound(self, monkeypatch):
+        def short_campaign():
+            _PAIR_COUNTS.clear()
+            _WINNERS.clear()
+            return campaign(
+                lambda seed: family_setup(seed, THEOREM1_NESTED, 5, 4), 6)
+
+        def sizes():
+            return len(_PAIR_COUNTS), sum(map(len, _WINNERS.values()))
+
+        unbounded = short_campaign()
+        assert min(sizes()) > 40
+        monkeypatch.setattr(decision, "_CACHE_SIZE", 40)
+        assert short_campaign() == unbounded
+        assert max(sizes()) <= 40
+        assert len(_WINNERS) == 1  # one tie order at a time
 
 
 @st.composite
@@ -435,20 +452,33 @@ class TestSignatureKeys:
                                      rule, model, pref, frm, to, tie))
 
 
+def completion_mass(frm, others, m):
+    """The product mass `dominating_manipulation` evaluates."""
+    return product_mass([[((frm,), 1)]]
+                        + [[(possible_tops(p, m), 1)] for p in others], m)
+
+
 class TestCompletionScores:
+    """The completions' scores are the one focal element of a product mass."""
+
     def test_mixed_certainty(self):
         committed = PartialPreference.from_pairs([(2, 0), (2, 1), (0, 1)])
         leaning = PartialPreference.from_pairs([(0, 2)])
-        scores = completion_scores(1, [committed, leaning], 3)
-        assert scores == ((0, 2, 1), (1, 1, 1))
+        mass = completion_mass(1, [committed, leaning], 3)
+        assert mass.assignments == ((FocalElement.from_points(
+            [(0, 2, 1), (1, 1, 1)]), Fraction(1)),)
 
     def test_no_others(self):
-        assert completion_scores(0, [], 3) == ((1, 0, 0),)
+        assert completion_mass(0, [], 3).assignments == (
+            (FocalElement.from_points([(1, 0, 0)]), Fraction(1)),)
 
     def test_cap(self):
+        # 3**11 completions of eleven undecided others.
         empty = PartialPreference.from_pairs([])
-        with pytest.raises(ExpansionCapError):
-            completion_scores(0, [empty] * 11, 3)
+        with pytest.raises(ExpansionCapError,
+                           match="score enumeration exceeds cap 100000"):
+            dominating_manipulation(Preference((1, 0, 2)), [empty] * 11, 0,
+                                    1, TIE3)
 
 
 class TestDominatingManipulation:

@@ -9,6 +9,7 @@ from credalvote import (
     CONVERGED,
     CYCLE,
     DecisionRule,
+    ExpansionCapError,
     FocalElement,
     GameState,
     LayeredBelief,
@@ -158,6 +159,33 @@ class TestStep:
     def test_stable_state_returns_none(self):
         setup = scenario_to_setup(parse_scenario(fixture_text("equilibrium")))
         assert step(setup.initial, setup.configs, setup.tie) is None
+
+    def test_a_stepped_state_carries_its_tally(self):
+        setup = prop_setup()
+        state = setup.initial
+        while (moved := step(state, setup.configs, setup.tie)) is not None:
+            state, record = moved
+            assert state._broadcast == record.score_after == tally(
+                state.profile.ballots, 4)
+            # Not a field: a rebuilt state equals it and tallies afresh.
+            rebuilt = GameState(state.profile, state.step, state.next_voter)
+            assert rebuilt == state and not hasattr(rebuilt, "_broadcast")
+            assert step(rebuilt, setup.configs, setup.tie) == step(
+                state, setup.configs, setup.tie)
+
+    def test_a_ball_past_the_cap_raises(self):
+        # 120 ballots spread over six candidates: the radius-12 l1 ball
+        # around (20, ..., 20) passes the cap while the first voter scans.
+        belief = LayeredBelief(NESTED, (12,), (Fraction(1),))
+        configs = tuple(
+            VoterConfig(preference=Preference(tuple(
+                (c + k) % 6 for k in range(6))), belief=belief,
+                rule=DecisionRule(PESSIMISTIC), utility=MEIR_SIGN)
+            for c in range(6) for _ in range(20))
+        state = GameState(profile=truthful_profile(configs))
+        with pytest.raises(ExpansionCapError,
+                           match="neighborhood expands past cap 100000"):
+            step(state, configs, TieBreakOrder.default(6))
 
 
 class TestRun:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from credalvote import (
     L1_ADDREMOVE,
     LayeredBelief,
     MassFunction,
-    ScoreDistribution,
     VOTER_SWAP,
     classify,
     layered_to_mass,
@@ -25,6 +25,7 @@ from credalvote import (
     upper_expectation,
     upper_probability,
 )
+from credalvote.oracles import oracle_pignistic
 from strategies import mass_and_utility, mass_functions, scores
 
 HALF = Fraction(1, 2)
@@ -101,6 +102,16 @@ class TestMassFunction:
     def test_support(self):
         assert MIXED_MASS.support() == ((0, 2, 1), (1, 1, 1))
 
+    def test_many_singletons_build_quickly(self):
+        # Distinctness is checked on hashes, once per focal element; a check
+        # of every pair, quadratic, took over a minute on these 20,001.
+        n = 20_000
+        start = time.perf_counter()
+        mass = pignistic(MassFunction(((FocalElement.from_points(
+            (k, n - k) for k in range(n + 1)), Fraction(1)),)))
+        assert time.perf_counter() - start < 5
+        assert len(mass.assignments) == n + 1
+
 
 class TestProbabilities:
     def test_pinned_event_bounds(self):
@@ -147,7 +158,7 @@ class TestExpectations:
         mass, u = mass_u
         lower = lower_expectation(mass, u)
         upper = upper_expectation(mass, u)
-        assert lower <= pignistic(mass).expectation(u) <= upper
+        assert lower <= lower_expectation(pignistic(mass), u) <= upper
 
     @given(mass_and_utility())
     def test_conjugacy(self, mass_u):
@@ -167,42 +178,44 @@ class TestExpectations:
         mass, u = mass_u
         lower = lower_expectation(mass, u)
         assert lower == upper_expectation(mass, u)
-        assert lower == pignistic(mass).expectation(u)
+        assert lower == lower_expectation(pignistic(mass), u)
+
+    def test_mapping_utility_on_a_bayesian_mass(self):
+        mass = MassFunction(((FocalElement.from_points([(1, 0)]), HALF),
+                             (FocalElement.from_points([(0, 1)]), HALF)))
+        assert lower_expectation(mass, {(1, 0): 2, (0, 1): 0}) == 1
+        assert upper_expectation(mass, {(1, 0): 2, (0, 1): 0}) == 1
+        assert upper_probability(mass, [(9, 9)]) == 0
 
 
 class TestPignistic:
     def test_single_focal_uniform(self):
         focal = FocalElement.from_points([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         dist = pignistic(MassFunction(((focal, Fraction(1)),)))
-        assert all(p == Fraction(1, 3) for _, p in dist.support)
+        assert len(dist.assignments) == 3
+        assert all(p == Fraction(1, 3) for _, p in dist.assignments)
 
     def test_pinned_mixed_mass(self):
         dist = pignistic(MIXED_MASS)
-        assert dist.probability((1, 1, 1)) == Fraction(3, 4)
-        assert dist.probability((0, 2, 1)) == Fraction(1, 4)
+        assert upper_probability(dist, [(1, 1, 1)]) == Fraction(3, 4)
+        assert lower_probability(dist, [(0, 2, 1)]) == Fraction(1, 4)
 
     @given(mass_functions(singletons_only=True))
     def test_bayesian_mass_is_its_own_pignistic(self, mass):
         dist = pignistic(mass)
         for focal, w in mass.assignments:
-            assert dist.probability(focal.points[0]) == w
+            assert upper_probability(dist, focal.points) == w
 
     @given(mass_functions())
     def test_probabilities_sum_to_one(self, mass):
-        assert sum(p for _, p in pignistic(mass).support) == 1
+        assert sum(p for _, p in pignistic(mass).assignments) == 1
 
-
-class TestScoreDistribution:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScoreDistribution((((1, 0), HALF),))
-        with pytest.raises(ValueError):
-            ScoreDistribution((((1, 0), HALF), ((1, 0), HALF)))
-
-    def test_expectation_with_mapping(self):
-        dist = ScoreDistribution((((1, 0), HALF), ((0, 1), HALF)))
-        assert dist.expectation({(1, 0): 2, (0, 1): 0}) == 1
-        assert dist.probability((9, 9)) == 0
+    @given(mass_functions())
+    def test_is_a_sorted_bayesian_mass(self, mass):
+        for dist in (pignistic(mass), oracle_pignistic(mass)):
+            assert classify(dist) == "bayesian"
+            points = [focal.points[0] for focal, _ in dist.assignments]
+            assert points == sorted(points) == list(mass.support())
 
 
 class TestNeighborhoods:
@@ -376,17 +389,20 @@ class TestProductMass:
 class TestMultinomial:
     def test_symmetric_binomial(self):
         dist = multinomial_distribution((HALF, HALF), 2)
-        assert dist.probability((2, 0)) == Fraction(1, 4)
-        assert dist.probability((1, 1)) == HALF
-        assert dist.probability((0, 2)) == Fraction(1, 4)
+        assert classify(dist) == "bayesian"
+        assert upper_probability(dist, [(2, 0)]) == Fraction(1, 4)
+        assert upper_probability(dist, [(1, 1)]) == HALF
+        assert upper_probability(dist, [(0, 2)]) == Fraction(1, 4)
 
     def test_point_mass(self):
         dist = multinomial_distribution((Fraction(1), Fraction(0), Fraction(0)), 5)
-        assert dist.support == (((5, 0, 0), Fraction(1)),)
+        assert dist.assignments == (
+            (FocalElement.from_points([(5, 0, 0)]), Fraction(1)),)
 
     def test_uniform_three(self):
         dist = multinomial_distribution((Fraction(1, 3),) * 3, 3)
-        assert dist.probability((1, 1, 1)) == Fraction(6, 27)
+        assert upper_probability(dist, [(1, 1, 1)]) == Fraction(6, 27)
+        assert classify(dist) == "bayesian"
 
     @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 4))
     def test_marginal_matches_binomial(self, n, num, extra):
@@ -394,7 +410,7 @@ class TestMultinomial:
         p = Fraction(num, num + extra + 1)
         dist = multinomial_distribution((p, 1 - p), n)
         for k in range(n + 1):
-            assert dist.probability((k, n - k)) == \
+            assert upper_probability(dist, [(k, n - k)]) == \
                 comb(n, k) * p ** k * (1 - p) ** (n - k)
 
     def test_validation(self):
