@@ -108,7 +108,7 @@ def _cmd_check(args) -> int:
 def _within_oracle_caps(mass) -> bool:
     if len(mass.assignments) > ORACLE_MAX_FOCALS:
         return False
-    return all(len(focal.expand()) <= ORACLE_MAX_POINTS
+    return all(len(focal.points) <= ORACLE_MAX_POINTS
                for focal, _ in mass.assignments)
 
 

@@ -104,14 +104,9 @@ def _put(table: dict, key, value):
 
 def _pair_counts(focal: FocalElement, frm: int, to: int,
                  tie: TieBreakOrder) -> dict[tuple[int, int], int]:
-    """Counts of (winner-before, winner-after) pairs over the focal element.
-
-    Voter-independent, so one pass per focal element serves every voter.
-    A neighborhood is keyed on its metric, radius and clipped gap signature,
-    which determine the counts, so broadcasts that share a signature share
-    the work; any other focal element is keyed on its point set.
-    """
-    key = (tie.order, frm, to, getattr(focal, "_key", focal))
+    """Counts of (winner-before, winner-after) pairs over the focal element,
+    keyed on its point set: one pass serves every voter."""
+    key = (tie.order, frm, to, focal)
     counts = _PAIR_COUNTS.get(key)
     if counts is None:
         counts = {}
@@ -119,7 +114,7 @@ def _pair_counts(focal: FocalElement, frm: int, to: int,
         if winners is None:
             _WINNERS.clear()
             winners = _WINNERS[tie.order] = {}
-        for s in focal.expand():
+        for s in focal.points:
             before = winners.get(s)
             if before is None:
                 before = _put(winners, s, plurality_winner(s, tie))

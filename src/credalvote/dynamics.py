@@ -32,9 +32,10 @@ STEP_LIMIT = "step_limit"
 DEFAULT_MAX_STEPS = 10_000
 
 
-# Recentred masses kept per process. The bound keeps memory flat over long
-# campaigns; a 300-seed theorem1_nested campaign at n=12, m=4 still misses
-# no more often than with an unbounded cache.
+# Recentred masses, and the least centres they sit at, kept per process.
+# The bound keeps memory flat over long campaigns; a 300-seed
+# theorem1_nested campaign at n=12, m=4 still misses no more often than
+# with an unbounded cache.
 _MASS_CACHE_SIZE = 4096
 
 
@@ -106,11 +107,33 @@ class RunOutcome:
     cycle_length: int | None = None
 
 
+@lru_cache(maxsize=_MASS_CACHE_SIZE)
+def _least_centre(broadcast: Score, radius: int) -> Score:
+    """The componentwise-least score whose gaps to the top, clipped at 2R+3,
+    and entries, clipped at R+1, equal the broadcast's, for R = `radius`.
+
+    Such centres give equal (winner-before, winner-after) counts for every
+    move over each ball of radius r <= R, so over each ring: a point of the
+    ball moves a gap by at most 2r and a move by 2 more, so a candidate 2r+3
+    behind never wins; an entry above r stays clear of the ball's bound at 0
+    and of apply_move's clamp; the candidates nearer the top shift as one,
+    which keeps their order and voter_swap's leader. Each clipped gap plus
+    clipped entry bounds the least top from below; the true top meets all.
+    """
+    clip, top = 2 * radius + 3, max(broadcast)
+    signature = [(min(top - c, clip), min(c, radius + 1)) for c in broadcast]
+    least_top = max(gap + entry for gap, entry in signature)
+    return tuple(least_top - gap if gap < clip else entry
+                 for gap, entry in signature)
+
+
 def _strict_options(voter: int, config: VoterConfig, profile: BallotProfile,
                     broadcast: Score, tie: TieBreakOrder
                     ) -> list[tuple[int, MoveEvaluation]]:
     frm = profile.ballots[voter]
-    mass = config.mass_at(broadcast)
+    belief = config.belief
+    mass = config.mass_at(broadcast if isinstance(belief, MassFunction)
+                          else _least_centre(broadcast, belief.radii[-1]))
     options = []
     for to in range(len(broadcast)):
         if to == frm:

@@ -40,6 +40,7 @@ class TieBreakOrder:
     order: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "order", tuple(self.order))
         if sorted(self.order) != list(range(len(self.order))):
             raise ValueError("tie-break order must be a permutation of 0..m-1")
 
@@ -97,6 +98,7 @@ class BallotProfile:
     ballots: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "ballots", tuple(self.ballots))
         if any(b < 0 for b in self.ballots):
             raise ValueError("ballots must be candidate indices")
 

@@ -44,7 +44,7 @@ def _selection_values(mass: MassFunction, u) -> list[Fraction]:
             f"selection oracle handles at most {ORACLE_MAX_FOCALS} focal elements")
     expanded = []
     for focal, w in mass.assignments:
-        points = focal.expand()
+        points = focal.points
         if len(points) > ORACLE_MAX_POINTS:
             raise ValueError(
                 f"selection oracle handles focal elements of at most "
@@ -73,7 +73,7 @@ def oracle_upper_expectation(mass: MassFunction, u) -> Fraction:
 def oracle_pignistic(mass: MassFunction) -> MassFunction:
     """Point-first pignistic transform: for each score point, sum the weight
     shares of the focal elements containing it, as a Bayesian mass."""
-    expanded = [(set(focal.expand()), focal.expand(), w)
+    expanded = [(set(focal.points), focal.points, w)
                 for focal, w in mass.assignments]
     universe = sorted(set().union(*[points for points, _, _ in expanded]))
     support = []
@@ -114,7 +114,7 @@ def _raw_verdict_is_strict(mass: MassFunction, config: VoterConfig, frm: int,
     upper = Fraction(0)
     for focal, w in mass.assignments:
         values = [raw_move_utility(model, pref, frm, to, s, tie)
-                  for s in focal.expand()]
+                  for s in focal.points]
         lower += w * min(values)
         upper += w * max(values)
     rule = config.rule

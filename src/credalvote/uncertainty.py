@@ -59,12 +59,10 @@ class FocalElement:
         return cls(tuple(tuple(p) for p in points))
 
     @classmethod
-    def _trusted(cls, points: Sequence[Score], key: tuple) -> "FocalElement":
-        """Points already sorted, distinct, nonnegative and of one length, as
-        a neighborhood builds them; `key` determines the pair counts."""
+    def _trusted(cls, points: Sequence[Score]) -> "FocalElement":
+        """Points already sorted, distinct, nonnegative and of one length."""
         focal = object.__new__(cls)
         object.__setattr__(focal, "points", tuple(points))
-        object.__setattr__(focal, "_key", key)
         return focal
 
     @classmethod
@@ -78,10 +76,6 @@ class FocalElement:
                                       <= sum(hi for _, hi in box)):
             raise ValueError("box with total constraint is empty")
         return cls(tuple(_box_points(box, total)))
-
-    def expand(self) -> tuple[Score, ...]:
-        """All points of the focal element, sorted."""
-        return self.points
 
     def __hash__(self):
         cached = getattr(self, "_hash", None)
@@ -152,7 +146,7 @@ class MassFunction:
         """Union of all focal expansions, sorted."""
         points: set[Score] = set()
         for focal, _ in self.assignments:
-            points.update(focal.expand())
+            points.update(focal.points)
         return tuple(sorted(points))
 
 
@@ -176,8 +170,11 @@ class LayeredBelief:
             raise ValueError(f"unknown layered kind {self.kind!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
+        object.__setattr__(self, "radii", tuple(self.radii))
         if not self.radii:
             raise ValueError("layered belief needs at least one radius")
+        if any(type(r) is not int for r in self.radii):
+            raise ValueError("radii must be integers")
         if any(r < 0 for r in self.radii):
             raise ValueError("radii must be nonnegative")
         if list(self.radii) != sorted(set(self.radii)):
@@ -207,14 +204,14 @@ def _as_function(u) -> Callable[[Score], Fraction]:
 def lower_expectation(mass: MassFunction, u) -> Fraction:
     """Weighted sum of each focal element's worst utility."""
     fn = _as_function(u)
-    return sum((w * Fraction(min(fn(p) for p in focal.expand()))
+    return sum((w * Fraction(min(fn(p) for p in focal.points))
                 for focal, w in mass.assignments), Fraction(0))
 
 
 def upper_expectation(mass: MassFunction, u) -> Fraction:
     """Weighted sum of each focal element's best utility."""
     fn = _as_function(u)
-    return sum((w * Fraction(max(fn(p) for p in focal.expand()))
+    return sum((w * Fraction(max(fn(p) for p in focal.points))
                 for focal, w in mass.assignments), Fraction(0))
 
 
@@ -237,7 +234,7 @@ def pignistic(mass: MassFunction) -> MassFunction:
     over its points."""
     acc: dict[Score, Fraction] = {}
     for focal, w in mass.assignments:
-        points = focal.expand()
+        points = focal.points
         share = w / len(points)
         for p in points:
             acc[p] = acc.get(p, Fraction(0)) + share
@@ -267,20 +264,8 @@ def neighborhood(center: Score, metric: str, radius: int) -> FocalElement:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     center = validate_score(tuple(center))
-    r = radius
-    if metric == L1_ADDREMOVE:
-        points = _l1_ball(center, r)
-    else:
-        points = _swap_ball(center, r)
-    # The signature: a point of the ball moves a gap to the top by at most 2r
-    # and a move by 2 more, so a candidate 2r+3 or more behind never wins;
-    # an entry above r stays positive, out of reach of the ball's bound at 0
-    # and of the clamp in apply_move. Centres with one signature give the
-    # same (winner-before, winner-after) pair counts for every move.
-    top = max(center, default=0)
-    signature = tuple([min(top - c, 2 * r + 3) for c in center]
-                      + [min(c, r + 1) for c in center])
-    return FocalElement._trusted(points, (metric, r, signature))
+    ball = _l1_ball if metric == L1_ADDREMOVE else _swap_ball
+    return FocalElement._trusted(ball(center, radius))
 
 
 def _l1_ball(center: Score, radius: int) -> list[Score]:
@@ -349,7 +334,7 @@ def layered_to_mass(belief: LayeredBelief, center: Score) -> MassFunction:
             if not ring:
                 raise ValueError(
                     f"partitioned ring between radii {r_prev} and {r} is empty")
-            focals.append(FocalElement._trusted(ring, (r_prev, ball._key)))
+            focals.append(FocalElement._trusted(ring))
         weights.append(w)
     return MassFunction(tuple(zip(focals, weights)))
 
@@ -362,7 +347,7 @@ def classify(mass: MassFunction, universe: Iterable[Score] | None = None) -> str
     is given). necessity: focal elements totally ordered by inclusion.
     inner: focal elements pairwise disjoint. Otherwise general.
     """
-    expansions = [set(focal.expand()) for focal, _ in mass.assignments]
+    expansions = [set(focal.points) for focal, _ in mass.assignments]
     if all(len(e) == 1 for e in expansions):
         return "bayesian"
     if universe is not None and len(expansions) == 1 \

@@ -75,11 +75,12 @@ def partial_preferences(draw, m: int = 3):
 
 
 @st.composite
-def small_games(draw, max_voters: int = 3):
-    """(GameState, configs, tie) for a random 3-candidate game.
+def small_games(draw, voters: tuple[int, int] = (2, 3)):
+    """(GameState, configs, tie) for a random 3-candidate game with an
+    electorate size in the inclusive range `voters`.
 
     Beliefs mix a re-centered radius-1 layered belief with fixed mass functions."""
-    n = draw(st.integers(2, max_voters))
+    n = draw(st.integers(*voters))
     ballots = tuple(draw(st.integers(0, 2)) for _ in range(n))
     configs = []
     for _ in range(n):

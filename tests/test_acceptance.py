@@ -172,7 +172,7 @@ def test_criterion_2_contested_race_cycles():
         mass = ball_mass(state)
         oracle = sum(raw_move_utility(MEIR_SIGN, config.preference, frm, to,
                                       s, tie)
-                     for s in neighborhood(state, VOTER_SWAP, 1).expand())
+                     for s in neighborhood(state, VOTER_SWAP, 1).points)
         fast = pignistic_cardinal(config.mass_at(state), config.preference,
                                   frm, to, tie)
         if not oracle == fast == expected > 0:
@@ -215,14 +215,14 @@ def test_criterion_2_contested_race_cycles():
 
 def test_criterion_3_neighborhood_sets():
     problems = []
-    l1 = set(neighborhood((2, 2, 3, 3), L1_ADDREMOVE, 1).expand())
+    l1 = set(neighborhood((2, 2, 3, 3), L1_ADDREMOVE, 1).points)
     expected_l1 = {
         (2, 2, 3, 3), (1, 2, 3, 3), (2, 1, 3, 3), (2, 2, 2, 3), (2, 2, 3, 2),
         (3, 2, 3, 3), (2, 3, 3, 3), (2, 2, 4, 3), (2, 2, 3, 4)}
     if l1 != expected_l1:
         problems.append(f"radius-1 add/remove ball off by "
                         f"{l1 ^ expected_l1}")
-    swap = set(neighborhood((0, 2, 1), VOTER_SWAP, 1).expand())
+    swap = set(neighborhood((0, 2, 1), VOTER_SWAP, 1).points)
     expected_swap = {(0, 2, 1), (1, 1, 1), (0, 1, 2), (1, 2, 0)}
     if swap != expected_swap:
         problems.append(f"radius-1 swap ball off by {swap ^ expected_swap}")

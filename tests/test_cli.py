@@ -102,6 +102,23 @@ class TestCampaign:
         assert all(row.split(",")[1] == "converged" for row in rows[1:])
         assert "convergence_rate: 1 (1.0000)" in captured.err
 
+    def test_large_electorate_csv(self, capsys):
+        # Two hundred voters put the race far from most candidates, so the
+        # fast path evaluates its moves at recentred neighbourhoods.
+        assert main(["campaign", "--family", THEOREM1_NESTED, "--count", "5",
+                     "--voters", "200", "--candidates", "6"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "seed,status,steps,cycle_len\r\n"
+            "0,converged,115,\r\n"
+            "1,converged,0,\r\n"
+            "2,converged,100,\r\n"
+            "3,converged,0,\r\n"
+            "4,converged,121,\r\n")
+        assert captured.err == ("convergence_rate: 1 (1.0000)\n"
+                                "max_steps_observed: 121\n"
+                                "cycles: 0\n")
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "summary.csv"
         assert main(["campaign", "--family", MEIR_R0, "--count", "3",

@@ -48,6 +48,7 @@ from credalvote import (
 )
 from credalvote import decision
 from credalvote.decision import _PAIR_COUNTS, _WINNERS, _pair_counts
+from credalvote.dynamics import _least_centre
 from credalvote.oracles import raw_move_utility
 from credalvote.uncertainty import ExpansionCapError
 from strategies import mass_functions, preferences, tie_orders
@@ -298,7 +299,7 @@ class TestPignisticCardinal:
             # the oracle sums raw winner comparisons, bypassing _pair_counts
             oracle = sum(raw_move_utility(MEIR_SIGN, pref, frm, to, s,
                                           self.TIE4)
-                         for s in mass.assignments[0][0].expand())
+                         for s in mass.assignments[0][0].points)
             assert oracle == expected, (center, frm, to)
 
     @given(mass_functions(max_focals=1), preferences(), st.integers(0, 2),
@@ -328,7 +329,7 @@ class TestPairCountCache:
         assert self.evaluate(landslide).verdict == WEAKLY_PREFERRED
 
         ball = neighborhood((1, 1, 0), L1_ADDREMOVE, 1)
-        copy = FocalElement.from_points(ball.expand())
+        copy = FocalElement.from_points(ball.points)
         assert self.evaluate(ball) == self.evaluate(copy)
 
         # A caller-supplied label once keyed the cache, so {(3, 0, 0)} under
@@ -406,25 +407,90 @@ def layered_or_reject(belief, center):
         assume(False)
 
 
+def signature(center, radius):
+    """Gaps to the top clipped at 2R+3, entries clipped at R+1."""
+    top = max(center)
+    return tuple((min(top - c, 2 * radius + 3), min(c, radius + 1))
+                 for c in center)
+
+
+@st.composite
+def recentred_games(draw):
+    """A layered belief, a centre near the clips, a tie order, a preference.
+
+    Gaps to the top run two past the gap clip, with extra weight on each
+    side of it, and the top starts at 0, so candidates sit on both sides of
+    each clip.
+    """
+    m = draw(st.integers(3, 6))
+    metric = draw(st.sampled_from(METRICS))
+    radii = tuple(sorted(draw(st.sets(
+        st.integers(0, 3 if metric == L1_ADDREMOVE else 2),
+        min_size=1, max_size=2))))
+    parts = [draw(st.integers(1, 4)) for _ in radii]
+    belief = LayeredBelief(draw(st.sampled_from((NESTED, PARTITIONED))), radii,
+                           tuple(Fraction(p, sum(parts)) for p in parts),
+                           metric)
+    r = radii[-1]
+    top = draw(st.integers(0, 3 * r + 8))
+    gaps = draw(st.lists(st.integers(0, 2 * r + 5)
+                         | st.sampled_from((2 * r + 2, 2 * r + 3)),
+                         min_size=m, max_size=m))
+    gaps[draw(st.integers(0, m - 1))] = 0
+    center = tuple(max(top - g, 0) for g in gaps)
+    return belief, center, draw(tie_orders(m)), draw(preferences(m))
+
+
 class TestSignatureKeys:
-    """Neighborhood pair counts are shared by clipped gap signature."""
+    """Broadcasts of one clipped gap signature share a least centre, whose
+    layered mass evaluates every move as the broadcast's own does."""
 
     @given(signature_twins())
     @settings(max_examples=150)
     def test_centres_with_one_signature_share_counts(self, twins):
         belief, centers, tie = twins
+        r = belief.radii[-1]
+        least = [_least_centre(c, r) for c in centers]
+        assert least[0] == least[1]
+        # The third centre's signature differs, and the least centre keeps it.
+        assert all(low != least[0] for low in least[2:])
+        for center, low in zip(centers, least):
+            assert signature(low, r) == signature(center, r)
+            assert all(a <= b for a, b in zip(low, center))
+            assert _least_centre(low, r) == low
         _PAIR_COUNTS.clear()  # so that a failure replays on its own
-        masses = [layered_or_reject(belief, c) for c in centers]
-        assert ([focal._key for focal, _ in masses[0].assignments]
-                == [focal._key for focal, _ in masses[1].assignments])
         m = len(centers[0])
-        for mass, frm, to in itertools.product(masses, range(m), range(m)):
-            for focal, _ in mass.assignments:
-                fresh = Counter(
-                    (plurality_winner(s, tie),
-                     plurality_winner(apply_move(s, frm, to), tie))
-                    for s in focal.expand())
-                assert _pair_counts(focal, frm, to, tie) == fresh
+        for center, frm, to in itertools.product(centers, range(m), range(m)):
+            counts = []
+            for mass in (layered_or_reject(belief, center),
+                         layered_or_reject(belief, _least_centre(center, r))):
+                for focal, _ in mass.assignments:
+                    fresh = Counter(
+                        (plurality_winner(s, tie),
+                         plurality_winner(apply_move(s, frm, to), tie))
+                        for s in focal.points)
+                    assert _pair_counts(focal, frm, to, tie) == fresh
+                counts.append([_pair_counts(focal, frm, to, tie)
+                               for focal, _ in mass.assignments])
+            assert counts[0] == counts[1], (center, frm, to)
+
+    @given(recentred_games(), st.fractions(0, 1, max_denominator=4))
+    @settings(max_examples=120)
+    def test_least_centre_evaluates_every_move_as_the_broadcast(self, game,
+                                                                alpha):
+        belief, center, tie, pref = game
+        low = _least_centre(center, belief.radii[-1])
+        masses = (layered_or_reject(belief, center),
+                  layered_or_reject(belief, low))
+        rules = [DecisionRule(PESSIMISTIC), DecisionRule(PIGNISTIC),
+                 DecisionRule(MIXTURE, alpha), DecisionRule(HURWICZ, alpha)]
+        m = len(center)
+        for frm, to, rule, model in itertools.product(
+                range(m), range(m), rules, UTILITY_MODELS):
+            at_center, at_least = (
+                evaluate_move(mass, rule, model, pref, frm, to, tie)
+                for mass in masses)
+            assert at_center == at_least, (center, low, frm, to, rule, model)
 
     @given(st.integers(3, 5).flatmap(lambda m: st.tuples(
                st.lists(st.integers(0, 6), min_size=m, max_size=m),
@@ -442,7 +508,7 @@ class TestSignatureKeys:
         focals += [focal for focal, _ in
                    layered_or_reject(belief, center).assignments]
         for focal in focals:
-            checked = FocalElement.from_points(focal.expand())
+            checked = FocalElement.from_points(focal.points)
             assert focal == checked and checked == focal
             assert hash(focal) == hash(checked)
             rule = DecisionRule(MIXTURE, alpha=Fraction(1, 3))

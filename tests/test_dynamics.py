@@ -37,7 +37,7 @@ from credalvote import (
     tally,
     truthful_profile,
 )
-from credalvote.dynamics import _layered_mass
+from credalvote.dynamics import _layered_mass, _least_centre
 from credalvote.oracles import oracle_equilibrium
 from strategies import small_games
 
@@ -93,8 +93,9 @@ class TestTemplatesAndConfigs:
         assert config.mass_at((1, 1, 1)) != config.mass_at((2, 1, 1))
 
     def test_recentring_cache_is_bounded(self):
-        maxsize = _layered_mass.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < 10**6
+        for cached in (_layered_mass, _least_centre):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize < 10**6
 
     def test_voter_config_validation(self):
         belief = LayeredBelief(kind=NESTED, radii=(1,),
@@ -204,6 +205,19 @@ class TestRun:
         assert [(r.frm, r.to) for r in outcome.trace] == [(0, 1), (1, 0)]
         assert outcome.final.profile.ballots == (0,)
 
+    def test_list_typed_fields_run(self):
+        def game(seq):
+            belief = LayeredBelief(kind=NESTED, radii=seq((0, 1)),
+                                   weights=(Fraction(1, 2), Fraction(1, 2)))
+            config = VoterConfig(preference=Preference((1, 0, 2)),
+                                 belief=belief, rule=DecisionRule(PESSIMISTIC),
+                                 utility=MEIR_SIGN)
+            return (GameState(BallotProfile(seq((1, 1, 2)))), (config,) * 3,
+                    TieBreakOrder(seq((0, 1, 2))))
+
+        assert game(list) == game(tuple)
+        assert run(*game(list)) == run(*game(tuple))
+
     def test_step_limit_cuts_the_oscillator(self):
         state, configs = oscillator()
         outcome = run(state, configs, TIE3, max_steps=1)
@@ -274,29 +288,55 @@ class TestRun:
             assert first.final.next_voter == \
                 (first.trace[-1].voter + 1) % state.profile.n
 
-    @settings(deadline=None, max_examples=60)
-    @given(small_games())
-    def test_every_executed_move_is_strict(self, game):
-        state, configs, tie = game
-        outcome = run(state, configs, tie, max_steps=40)
-        for record in outcome.trace:
-            config = configs[record.voter]
-            mass = config.mass_at(record.score_before)
-            check = evaluate_move(mass, config.rule, config.utility,
-                                  config.preference, record.frm, record.to,
-                                  tie)
-            assert check.verdict == STRICTLY_PREFERRED
-            assert check.criterion_value == record.criterion_value
+    @staticmethod
+    def recentred(configs, broadcast):
+        """True when some layered voter's fast path evaluates its moves at a
+        least centre other than the broadcast."""
+        return any(_least_centre(broadcast, c.belief.radii[-1]) != broadcast
+                   for c in configs if isinstance(c.belief, LayeredBelief))
 
-    @settings(deadline=None, max_examples=60)
-    @given(small_games())
-    def test_converged_finals_are_equilibria(self, game):
-        state, configs, tie = game
-        outcome = run(state, configs, tie, max_steps=40)
-        if outcome.status == CONVERGED:
-            stable, _ = equilibrium_check(outcome.final, configs, tie)
-            assert stable
-            assert oracle_equilibrium(outcome.final, configs, tie)
+    # Three voters never lift a radius-1 least centre off the broadcast;
+    # twenty or more do, so the fast path is checked where it recentres.
+    GAMES = small_games() | small_games(voters=(20, 40))
+
+    def test_every_executed_move_is_strict(self):
+        recentred = []
+
+        @settings(deadline=None, max_examples=80)
+        @given(self.GAMES)
+        def one_game(game):
+            state, configs, tie = game
+            outcome = run(state, configs, tie, max_steps=40)
+            for record in outcome.trace:
+                config = configs[record.voter]
+                mass = config.mass_at(record.score_before)
+                check = evaluate_move(mass, config.rule, config.utility,
+                                      config.preference, record.frm,
+                                      record.to, tie)
+                assert check.verdict == STRICTLY_PREFERRED
+                assert check.criterion_value == record.criterion_value
+                recentred.append(self.recentred([config], record.score_before))
+
+        one_game()
+        assert any(recentred)
+
+    def test_converged_finals_are_equilibria(self):
+        recentred = []
+
+        @settings(deadline=None, max_examples=80)
+        @given(self.GAMES)
+        def one_game(game):
+            state, configs, tie = game
+            outcome = run(state, configs, tie, max_steps=40)
+            if outcome.status == CONVERGED:
+                stable, _ = equilibrium_check(outcome.final, configs, tie)
+                assert stable
+                assert oracle_equilibrium(outcome.final, configs, tie)
+                recentred.append(self.recentred(
+                    configs, tally(outcome.final.profile.ballots, 3)))
+
+        one_game()
+        assert any(recentred)
 
 
 class TestCampaign:

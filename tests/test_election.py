@@ -38,6 +38,15 @@ def test_tie_break_validation():
     assert TieBreakOrder.default(3).order == (0, 1, 2)
 
 
+def test_list_fields_are_stored_as_tuples():
+    tie = TieBreakOrder([2, 0, 1])
+    profile = BallotProfile([1, 1, 2])
+    assert tie.order == (2, 0, 1) and type(tie.order) is tuple
+    assert profile.ballots == (1, 1, 2) and type(profile.ballots) is tuple
+    assert hash(tie) == hash(TieBreakOrder((2, 0, 1)))
+    assert hash(profile) == hash(BallotProfile((1, 1, 2)))
+
+
 def test_preference_validation():
     with pytest.raises(ValueError):
         Preference((0, 2))

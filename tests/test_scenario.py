@@ -221,7 +221,7 @@ class TestParse:
         scenario = parse_scenario(voter_json(belief))
         mass = scenario.voters[0].belief
         assert isinstance(mass, MassFunction)
-        assert all(len(f.expand()) == 1 for f, _ in mass.assignments)
+        assert all(len(f.points) == 1 for f, _ in mass.assignments)
         assert [w for _, w in mass.assignments] == [Fraction(1, 2)] * 2
 
 

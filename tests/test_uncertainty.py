@@ -41,11 +41,11 @@ MIXED_MASS = MassFunction((
 class TestFocalElement:
     def test_box_expansion_with_total(self):
         focal = FocalElement.from_box([(0, 1), (1, 2), (1, 1)], total=3)
-        assert focal.expand() == ((0, 2, 1), (1, 1, 1))
+        assert focal.points == ((0, 2, 1), (1, 1, 1))
 
     def test_box_expansion_without_total(self):
         focal = FocalElement.from_box([(0, 1), (1, 2), (1, 1)])
-        assert focal.expand() == ((0, 1, 1), (0, 2, 1), (1, 1, 1), (1, 2, 1))
+        assert focal.points == ((0, 1, 1), (0, 2, 1), (1, 1, 1), (1, 2, 1))
 
     def test_box_equals_points_canonically(self):
         box = FocalElement.from_box([(0, 1), (1, 2), (1, 1)], total=3)
@@ -221,37 +221,37 @@ class TestPignistic:
 class TestNeighborhoods:
     def test_l1_pinned_nine_vectors(self):
         ball = neighborhood((2, 2, 3, 3), L1_ADDREMOVE, 1)
-        assert set(ball.expand()) == {
+        assert set(ball.points) == {
             (2, 2, 3, 3), (1, 2, 3, 3), (2, 1, 3, 3), (2, 2, 2, 3),
             (2, 2, 3, 2), (3, 2, 3, 3), (2, 3, 3, 3), (2, 2, 4, 3),
             (2, 2, 3, 4)}
 
     def test_swap_pinned_four_vectors(self):
         ball = neighborhood((0, 2, 1), VOTER_SWAP, 1)
-        assert set(ball.expand()) == {
+        assert set(ball.points) == {
             (0, 2, 1), (1, 1, 1), (0, 1, 2), (1, 2, 0)}
 
     def test_swap_radius_two(self):
         ball = neighborhood((0, 2, 1), VOTER_SWAP, 2)
-        assert set(ball.expand()) == {
+        assert set(ball.points) == {
             (0, 2, 1), (1, 1, 1), (0, 1, 2), (1, 2, 0), (0, 0, 3),
             (1, 0, 2), (2, 0, 1), (2, 1, 0)}
 
     def test_radius_zero(self):
         for metric in (L1_ADDREMOVE, VOTER_SWAP):
-            assert neighborhood((2, 0, 1), metric, 0).expand() == ((2, 0, 1),)
+            assert neighborhood((2, 0, 1), metric, 0).points == ((2, 0, 1),)
 
     @given(scores(m=3, max_votes=3), st.integers(0, 2))
     def test_l1_membership(self, center, r):
         ball = neighborhood(center, L1_ADDREMOVE, r)
-        for p in ball.expand():
+        for p in ball.points:
             assert sum(abs(a - b) for a, b in zip(p, center)) <= r
             assert all(x >= 0 for x in p)
 
     @given(scores(m=3, max_votes=3), st.integers(0, 2))
     def test_swap_inside_double_l1(self, center, r):
-        swap = set(neighborhood(center, VOTER_SWAP, r).expand())
-        l1 = set(neighborhood(center, L1_ADDREMOVE, 2 * r).expand())
+        swap = set(neighborhood(center, VOTER_SWAP, r).points)
+        l1 = set(neighborhood(center, L1_ADDREMOVE, 2 * r).points)
         assert swap <= l1
         assert all(sum(p) == sum(center) for p in swap)
 
@@ -259,7 +259,7 @@ class TestNeighborhoods:
     def test_swap_never_feeds_the_leader(self, center, r):
         leader = plurality_winner(center, TieBreakOrder.default(3))
         ball = neighborhood(center, VOTER_SWAP, r)
-        assert all(p[leader] <= center[leader] for p in ball.expand())
+        assert all(p[leader] <= center[leader] for p in ball.points)
 
     def test_cap(self):
         with pytest.raises(ExpansionCapError):
@@ -273,7 +273,7 @@ class TestLayered:
         layered = LayeredBelief(kind="nested", radii=(1, 2, 3),
                                 weights=(HALF, Fraction(3, 10), Fraction(1, 5)))
         mass = layered_to_mass(layered, (10, 9, 11))
-        sizes = [len(f.expand()) for f, _ in mass.assignments]
+        sizes = [len(f.points) for f, _ in mass.assignments]
         assert sizes == sorted(sizes)
         assert [w for _, w in mass.assignments] == \
             [HALF, Fraction(3, 10), Fraction(1, 5)]
@@ -283,11 +283,11 @@ class TestLayered:
         layered = LayeredBelief(kind="partitioned", radii=(1, 2, 3),
                                 weights=(HALF, Fraction(3, 10), Fraction(1, 5)))
         mass = layered_to_mass(layered, (10, 9, 11))
-        expansions = [set(f.expand()) for f, _ in mass.assignments]
+        expansions = [set(f.points) for f, _ in mass.assignments]
         for i in range(len(expansions)):
             for j in range(i + 1, len(expansions)):
                 assert not expansions[i] & expansions[j]
-        ball3 = set(neighborhood((10, 9, 11), L1_ADDREMOVE, 3).expand())
+        ball3 = set(neighborhood((10, 9, 11), L1_ADDREMOVE, 3).points)
         assert set().union(*expansions) == ball3
         assert classify(mass) == "inner"
 
@@ -314,6 +314,17 @@ class TestLayered:
             LayeredBelief(kind="nested", radii=(1,), weights=(HALF,))
         with pytest.raises(ValueError):
             LayeredBelief(kind="sideways", radii=(1,), weights=(Fraction(1),))
+
+    def test_radii_are_stored_as_a_tuple_of_ints(self):
+        listed = LayeredBelief(kind="nested", radii=[1, 2], weights=(HALF, HALF))
+        assert listed.radii == (1, 2) and type(listed.radii) is tuple
+        assert hash(listed) == hash(
+            LayeredBelief(kind="nested", radii=(1, 2), weights=(HALF, HALF)))
+        # True and 1.0 equal 1, so they would share the radius-1 belief's
+        # cached masses.
+        for radii in ((True,), (1.0,), ("1",)):
+            with pytest.raises(ValueError, match="radii must be integers"):
+                LayeredBelief(kind="nested", radii=radii, weights=(1,))
 
 
 class TestClassify:
