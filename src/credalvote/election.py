@@ -129,23 +129,19 @@ def transitive_closure(pairs) -> frozenset[tuple[int, int]]:
     return frozenset(closure)
 
 
-def validate_score(score: Score, m: int | None = None) -> Score:
-    if m is not None and len(score) != m:
-        raise ValueError(f"score vector must have length {m}")
-    if any(not isinstance(x, int) or x < 0 for x in score):
+def validate_score(score: Score) -> Score:
+    if any(type(x) is not int or x < 0 for x in score):
         raise ValueError("score entries must be nonnegative integers")
     return score
 
 
 def tally(ballots: Sequence[int], m: int) -> Score:
-    """Votes per candidate 0..m-1 from nonnegative ballots; a ballot of m or
-    more is a ValueError."""
+    """Votes per candidate 0..m-1; a ballot outside 0..m-1 is a ValueError."""
     counts = [0] * m
-    try:
-        for b in ballots:
-            counts[b] += 1
-    except IndexError:
-        raise ValueError(f"ballot index {b} out of range") from None
+    for b in ballots:
+        if not 0 <= b < m:
+            raise ValueError(f"ballot index {b} out of range")
+        counts[b] += 1
     return tuple(counts)
 
 

@@ -95,28 +95,22 @@ def _box_points(box, total) -> list[Score]:
                 raise ExpansionCapError(f"box expands past cap {DEFAULT_CAP}")
         return [tuple(p) for p in itertools.product(
             *[range(lo, hi + 1) for lo, hi in box])]
-    out: list[Score] = []
-    suffix_lo = [0] * (len(box) + 1)
-    suffix_hi = [0] * (len(box) + 1)
-    for i in range(len(box) - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + box[i][0]
-        suffix_hi[i] = suffix_hi[i + 1] + box[i][1]
-
-    def rec(i: int, remaining: int, prefix: list[int]):
-        if i == len(box):
-            out.append(tuple(prefix))
-            if len(out) > DEFAULT_CAP:
-                raise ExpansionCapError(f"box expands past cap {DEFAULT_CAP}")
-            return
-        lo, hi = box[i]
-        for v in range(max(lo, remaining - suffix_hi[i + 1]),
-                       min(hi, remaining - suffix_lo[i + 1]) + 1):
-            prefix.append(v)
-            rec(i + 1, remaining - v, prefix)
-            prefix.pop()
-
-    rec(0, total, [])
-    return out
+    # Prefixes in lexicographic order with the total they leave. A value's
+    # range keeps that total within the later intervals' least and greatest
+    # sums, so every prefix extends to a point and each layer is counted
+    # exactly before it is built.
+    layer: list[tuple[Score, int]] = [((), total)]
+    for i, (lo, hi) in enumerate(box):
+        rest_lo = sum(a for a, _ in box[i + 1:])
+        rest_hi = sum(b for _, b in box[i + 1:])
+        ranges = [range(max(lo, left - rest_hi), min(hi, left - rest_lo) + 1)
+                  for _, left in layer]
+        if sum(map(len, ranges)) > DEFAULT_CAP:
+            raise ExpansionCapError(f"box expands past cap {DEFAULT_CAP}")
+        layer = [(prefix + (v,), left - v)
+                 for (prefix, left), values in zip(layer, ranges)
+                 for v in values]
+    return [prefix for prefix, _ in layer]
 
 
 @dataclass(frozen=True)
@@ -261,6 +255,8 @@ def neighborhood(center: Score, metric: str, radius: int) -> FocalElement:
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    if type(radius) is not int:
+        raise ValueError("radius must be an integer")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     center = validate_score(tuple(center))
@@ -285,32 +281,28 @@ def _l1_ball(center: Score, radius: int) -> list[Score]:
 
 
 def _swap_ball(center: Score, radius: int) -> list[Score]:
-    m = len(center)
-    best = max(center)
-    leader = min(c for c in range(m) if center[c] == best)
-    seen = {center}
-    frontier = [center]
-    for _ in range(radius):
-        nxt = []
-        for s in frontier:
-            for src in range(m):
-                if s[src] == 0:
-                    continue
-                for dst in range(m):
-                    if dst == src or dst == leader:
-                        continue
-                    moved = list(s)
-                    moved[src] -= 1
-                    moved[dst] += 1
-                    t = tuple(moved)
-                    if t not in seen:
-                        seen.add(t)
-                        if len(seen) > DEFAULT_CAP:
-                            raise ExpansionCapError(
-                                f"neighborhood expands past cap {DEFAULT_CAP}")
-                        nxt.append(t)
-        frontier = nxt
-    return sorted(seen)
+    # A score is within `radius` reassignments exactly when it keeps the
+    # centre's total, gives the leader no vote and gains at most `radius`
+    # votes. Prefixes in lexicographic order carry the gains still allowed
+    # and their balance, votes gained minus votes lost; each range holds
+    # just the values that leave a completable prefix, so every layer is
+    # counted exactly before it is built.
+    leader = center.index(max(center))
+    layer: list[tuple[Score, int, int]] = [((), radius, 0)]
+    for i, c in enumerate(center):
+        rest = sum(center[i + 1:])
+        # A deficit can be repaid only by a later candidate that may gain.
+        repay = len(center) - i - 1 > (leader > i)
+        ranges = [range(max(-c, -balance - (budget if repay else 0)),
+                        min(0 if i == leader else budget, rest - balance) + 1)
+                  for _, budget, balance in layer]
+        if sum(map(len, ranges)) > DEFAULT_CAP:
+            raise ExpansionCapError(
+                f"neighborhood expands past cap {DEFAULT_CAP}")
+        layer = [(prefix + (c + d,), budget - max(d, 0), balance + d)
+                 for (prefix, budget, balance), ds in zip(layer, ranges)
+                 for d in ds]
+    return [prefix for prefix, _, _ in layer]
 
 
 def layered_to_mass(belief: LayeredBelief, center: Score) -> MassFunction:
@@ -429,9 +421,7 @@ def multinomial_distribution(q: Sequence[Fraction], n: int) -> MassFunction:
     if math.comb(n + m - 1, m - 1) > DEFAULT_CAP:
         raise ExpansionCapError(f"composition count exceeds cap {DEFAULT_CAP}")
     support = []
-    for combo in itertools.combinations(range(n + m - 1), m - 1):
-        cuts = (-1,) + combo + (n + m - 1,)
-        s = tuple(cuts[i + 1] - cuts[i] - 1 for i in range(m))
+    for s in _box_points(((0, n),) * m, n):
         prob = Fraction(math.factorial(n))
         for sx, qx in zip(s, q):
             prob *= qx ** sx / math.factorial(sx)

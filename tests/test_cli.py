@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -62,6 +63,26 @@ class TestSimulate:
         path.write_text(fixture_text("equilibrium"))
         assert main(["simulate", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "converged"
+
+    def test_huge_swap_radius(self, capsys, tmp_path):
+        # With three votes every reachable score is two reassignments away,
+        # so a radius of 10**8 must build the same small ball, at once.
+        belief = {"kind": "nested", "metric": "voter_swap",
+                  "radii": [10**8], "weights": ["1"]}
+        path = tmp_path / "huge_swap.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "candidates": ["a", "b", "c"],
+            "voters": [{"preference": pref, "belief": belief,
+                        "rule": {"kind": "pessimistic"},
+                        "utility": "meir_sign"}
+                       for pref in (["a", "b", "c"], ["b", "c", "a"],
+                                    ["c", "a", "b"])]}))
+        start = time.perf_counter()
+        assert main(["simulate", str(path)]) == 0
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().out == (
+            '{"status": "converged", "steps": 0, "final_scores": [1, 1, 1], '
+            '"final_ballots": ["a", "b", "c"], "winner": "a"}\n')
 
 
 class TestCheck:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from credalvote import (
     BallotProfile,
     CandidateSet,
+    FocalElement,
     PartialPreference,
     Preference,
     TieBreakOrder,
@@ -66,16 +67,23 @@ def test_partial_preference_rejects_cycles():
 def test_validate_score():
     with pytest.raises(ValueError):
         validate_score((1, -1))
-    with pytest.raises(ValueError):
-        validate_score((1, 2), m=3)
+    # True is an int to isinstance; a focal element keeping it would be
+    # written to a scenario as `true`, which the parser refuses.
+    for bad in ((True, 0, 1), (1.0, 2), ("1",)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            validate_score(bad)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        FocalElement.from_points([(True, 0, 1), (0, 2, 1)])
     assert validate_score((0, 3, 2)) == (0, 3, 2)
 
 
 def test_scores_from_profile():
     profile = BallotProfile((0, 2, 2, 3, 0, 3, 2, 3, 1, 1))
     assert tally(profile.ballots, ABCD.m) == (2, 2, 3, 3)
-    with pytest.raises(ValueError):
-        tally(BallotProfile((3,)).ballots, ABC.m)
+    # A negative ballot would index the last candidate.
+    for ballots, bad in (((3,), 3), ((0, 1, -1), -1)):
+        with pytest.raises(ValueError, match=f"ballot index {bad} out of range"):
+            tally(ballots, ABC.m)
 
 
 def test_negative_ballots_rejected():

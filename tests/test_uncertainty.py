@@ -1,5 +1,7 @@
+import itertools
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from credalvote import (
     upper_expectation,
     upper_probability,
 )
+from credalvote import uncertainty
 from credalvote.oracles import oracle_pignistic
 from strategies import mass_and_utility, mass_functions, scores
 
@@ -266,6 +269,123 @@ class TestNeighborhoods:
             neighborhood((10,) * 6, L1_ADDREMOVE, 10)
         with pytest.raises(ExpansionCapError):
             neighborhood((20,) * 8, VOTER_SWAP, 6)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            neighborhood((1, 2, 3), "hamming", 1)
+        # True equals 1 and 1.0 is integral, but neither is a radius.
+        for metric in (L1_ADDREMOVE, VOTER_SWAP):
+            for radius in (1.5, 1.0, True, "1"):
+                with pytest.raises(ValueError, match="radius must be an integer"):
+                    neighborhood((1, 2, 3), metric, radius)
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                neighborhood((1, 2, 3), metric, -1)
+
+    def test_huge_swap_radius_is_immediate(self):
+        # Every score reachable from (5, 5, 5) is ten reassignments away at
+        # most, however large the radius.
+        start = time.perf_counter()
+        ball = neighborhood((5, 5, 5), VOTER_SWAP, 10**9)
+        assert time.perf_counter() - start < 1
+        assert ball == neighborhood((5, 5, 5), VOTER_SWAP, 10)
+        assert len(ball.points) == 81
+
+
+def brute_box(box, total=None) -> list:
+    """The box's points in lexicographic order, filtered to `total`."""
+    return [p for p in itertools.product(*[range(lo, hi + 1) for lo, hi in box])
+            if total is None or sum(p) == total]
+
+
+def brute_ball(center, metric, radius) -> list:
+    """A neighbourhood from its definition: the l1 filter over its bounding
+    box, or a breadth-first search over single-vote reassignments that
+    never feed the leader."""
+    if metric == L1_ADDREMOVE:
+        return [p for p in brute_box([(max(c - radius, 0), c + radius)
+                                      for c in center])
+                if sum(abs(a - b) for a, b in zip(p, center)) <= radius]
+    leader = plurality_winner(center, TieBreakOrder.default(len(center)))
+    seen = frontier = {center}
+    for _ in range(radius):
+        reached = set()
+        for s in frontier:
+            for src, dst in itertools.permutations(range(len(s)), 2):
+                if s[src] and dst != leader:
+                    moved = list(s)
+                    moved[src] -= 1
+                    moved[dst] += 1
+                    reached.add(tuple(moved))
+        frontier = reached - seen
+        seen = seen | frontier
+    return sorted(seen)
+
+
+@st.composite
+def boxes(draw):
+    box = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+        lambda t: (t[0], t[0] + t[1])), min_size=1, max_size=4))
+    total = draw(st.none() | st.integers(sum(lo for lo, _ in box),
+                                         sum(hi for _, hi in box)))
+    return box, total
+
+
+class TestEnumeration:
+    """Every bounded score set against a brute force of its definition.
+
+    Each set is counted before it is built, so under any cap it must build
+    exactly when the brute force has no more points than the cap."""
+
+    @staticmethod
+    def assert_capped(build, size, cap):
+        with mock.patch.object(uncertainty, "DEFAULT_CAP", cap):
+            if size > cap:
+                with pytest.raises(ExpansionCapError):
+                    build()
+            else:
+                build()
+
+    @settings(max_examples=200)
+    @given(boxes(), st.integers(1, 60))
+    def test_boxes(self, box_total, cap):
+        box, total = box_total
+        expected = brute_box(box, total)
+        assert list(FocalElement.from_box(box, total).points) == expected
+        self.assert_capped(lambda: FocalElement.from_box(box, total),
+                           len(expected), cap)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 4).flatmap(lambda m: scores(m=m, max_votes=4)),
+           st.sampled_from((L1_ADDREMOVE, VOTER_SWAP)), st.integers(0, 3),
+           st.integers(1, 60))
+    def test_balls(self, center, metric, radius, cap):
+        expected = brute_ball(center, metric, radius)
+        assert list(neighborhood(center, metric, radius).points) == expected
+        self.assert_capped(lambda: neighborhood(center, metric, radius),
+                           len(expected), cap)
+
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           st.integers(1, 6))
+    def test_compositions(self, parts, n):
+        q = [Fraction(p, sum(parts)) for p in parts]
+        dist = multinomial_distribution(q, n)
+        assert [focal.points[0] for focal, _ in dist.assignments] == \
+            brute_box([(0, n)] * len(q), n)
+
+    def test_cap_boundaries(self):
+        # Each pair is the largest set that builds and the next one past it.
+        for build in (lambda k: FocalElement.from_box([(0, k)]),
+                      lambda k: FocalElement.from_box([(0, k)] * 2, total=k)):
+            assert len(build(DEFAULT_CAP - 1).points) == DEFAULT_CAP
+            with pytest.raises(ExpansionCapError,
+                               match="box expands past cap 100000"):
+                build(DEFAULT_CAP)
+        radius = DEFAULT_CAP // 2
+        ball = neighborhood((radius - 1,), L1_ADDREMOVE, radius)
+        assert len(ball.points) == DEFAULT_CAP
+        with pytest.raises(ExpansionCapError,
+                           match="neighborhood expands past cap 100000"):
+            neighborhood((radius,), L1_ADDREMOVE, radius)
 
 
 class TestLayered:
