@@ -134,9 +134,8 @@ def _pair_value(model: str, pref: Preference, to: int,
 
     meir_sign: +1/0/-1 as the new winner is better, unchanged, or worse for
     the voter. direct_best_response: +1 only when the improved winner is the
-    destination itself; other improvements count 0. cardinal_rank: the rank
-    utility gap between new and old winners (`rank_utility`), which is the
-    old winner's rank minus the new one's.
+    destination itself; other improvements count 0. cardinal_rank: the old
+    winner's rank minus the new one's.
     """
     before, after = pair
     if model == CARDINAL_RANK:
@@ -205,19 +204,6 @@ def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
     return MoveEvaluation(lower=lower_f, upper=Fraction(upper, den),
                           pignistic_value=pig_f, criterion_value=value,
                           verdict=verdict)
-
-
-def pignistic_cardinal(mass: MassFunction, voter_pref: Preference, frm: int,
-                       to: int, tie: TieBreakOrder) -> int:
-    """Improving states minus worsening states over a single-focal belief.
-
-    Uses the sign utility; on a uniform single focal element its sign matches
-    the pignistic rule's verdict.
-    """
-    if len(mass.assignments) != 1:
-        raise ValueError("pignistic_cardinal needs a single-focal mass")
-    focal, _ = mass.assignments[0]
-    return _focal_stats(focal, MEIR_SIGN, voter_pref, frm, to, tie)[2]
 
 
 def dominating_manipulation(voter_pref: Preference,

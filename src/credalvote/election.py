@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 Score = tuple[int, ...]
@@ -77,18 +76,15 @@ class PartialPreference:
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if any(type(c) is not int for pair in self.pairs for c in pair):
+            raise ValueError("partial preference candidates must be integers")
         closure = transitive_closure(self.pairs)
         if any((x, x) in closure for x, _ in closure):
             raise ValueError("partial preference contains a cycle")
-        object.__setattr__(self, "_closure", closure)
 
     @classmethod
     def from_pairs(cls, pairs) -> "PartialPreference":
-        return cls(frozenset((int(x), int(y)) for x, y in pairs))
-
-    def requires(self, x: int, y: int) -> bool:
-        """True when x must precede y in every completion."""
-        return (x, y) in self._closure
+        return cls(frozenset((x, y) for x, y in pairs))
 
 
 @dataclass(frozen=True)
@@ -174,15 +170,16 @@ def apply_move(score: Score, frm: int, to: int) -> Score:
     return tuple(counts)
 
 
-def rank_utility(pref: Preference) -> dict[int, Fraction]:
-    """Order-preserving cardinal utility: best candidate gets m-1, worst gets 0."""
-    m = len(pref.ranking)
-    return {c: Fraction(m - 1 - r) for r, c in enumerate(pref.ranking)}
+def _check_candidates(partial: PartialPreference, m: int) -> None:
+    if any(not 0 <= c < m for pair in partial.pairs for c in pair):
+        raise ValueError(f"partial preference names a candidate outside "
+                         f"0..{m - 1}")
 
 
 def linear_extensions(partial: PartialPreference, candidates: CandidateSet) -> set[Preference]:
     """All strict linear orders consistent with the partial order."""
     m = candidates.m
+    _check_candidates(partial, m)
     out = set()
     for perm in itertools.permutations(range(m)):
         pos = {c: i for i, c in enumerate(perm)}
@@ -193,5 +190,6 @@ def linear_extensions(partial: PartialPreference, candidates: CandidateSet) -> s
 
 def possible_tops(partial: PartialPreference, m: int) -> set[int]:
     """The maximal elements of the partial order: every candidate no one beats."""
+    _check_candidates(partial, m)
     dominated = {y for _, y in partial.pairs}
     return set(range(m)) - dominated

@@ -68,10 +68,14 @@ class FocalElement:
     @classmethod
     def from_box(cls, intervals, total: int | None = None) -> "FocalElement":
         """The integer points of a box, filtered to an exact total if given."""
-        box = tuple((int(lo), int(hi)) for lo, hi in intervals)
+        box = tuple((lo, hi) for lo, hi in intervals)
         for lo, hi in box:
+            if type(lo) is not int or type(hi) is not int:
+                raise ValueError("box bounds must be integers")
             if not (0 <= lo <= hi):
                 raise ValueError("box intervals need 0 <= lo <= hi")
+        if total is not None and type(total) is not int:
+            raise ValueError("box total must be an integer")
         if total is not None and not (sum(lo for lo, _ in box) <= total
                                       <= sum(hi for _, hi in box)):
             raise ValueError("box with total constraint is empty")
@@ -209,20 +213,6 @@ def upper_expectation(mass: MassFunction, u) -> Fraction:
                 for focal, w in mass.assignments), Fraction(0))
 
 
-def lower_probability(mass: MassFunction, event: Iterable[Score]) -> Fraction:
-    """Belief of the event: the lower expectation of its indicator, the
-    total weight of focal elements entirely inside it."""
-    ev = {tuple(s) for s in event}
-    return lower_expectation(mass, lambda s: int(s in ev))
-
-
-def upper_probability(mass: MassFunction, event: Iterable[Score]) -> Fraction:
-    """Plausibility of the event: the upper expectation of its indicator,
-    the total weight of focal elements touching it."""
-    ev = {tuple(s) for s in event}
-    return upper_expectation(mass, lambda s: int(s in ev))
-
-
 def pignistic(mass: MassFunction) -> MassFunction:
     """The Bayesian mass that spreads each focal element's weight uniformly
     over its points."""
@@ -331,27 +321,6 @@ def layered_to_mass(belief: LayeredBelief, center: Score) -> MassFunction:
     return MassFunction(tuple(zip(focals, weights)))
 
 
-def classify(mass: MassFunction, universe: Iterable[Score] | None = None) -> str:
-    """Structural category of a mass function.
-
-    bayesian: every focal element is a singleton. vacuous: a single focal
-    element covering the declared universe (only detectable when `universe`
-    is given). necessity: focal elements totally ordered by inclusion.
-    inner: focal elements pairwise disjoint. Otherwise general.
-    """
-    expansions = [set(focal.points) for focal, _ in mass.assignments]
-    if all(len(e) == 1 for e in expansions):
-        return "bayesian"
-    if universe is not None and len(expansions) == 1 \
-            and expansions[0] == {tuple(s) for s in universe}:
-        return "vacuous"
-    if all(a <= b or b <= a for a, b in itertools.combinations(expansions, 2)):
-        return "necessity"
-    if all(not (a & b) for a, b in itertools.combinations(expansions, 2)):
-        return "inner"
-    return "general"
-
-
 def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]]],
                  candidates_m: int) -> MassFunction:
     """Joint mass over score vectors from independent per-voter ballot masses.
@@ -365,11 +334,13 @@ def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]
     for i, assignments in enumerate(ballot_masses):
         cleaned = []
         for subset, w in assignments:
-            subset = tuple(sorted(set(int(c) for c in subset)))
+            subset = set(subset)
             if not subset:
                 raise ValueError(f"voter {i} has an empty ballot set")
-            if any(not 0 <= c < candidates_m for c in subset):
+            if any(type(c) is not int or not 0 <= c < candidates_m
+                   for c in subset):
                 raise ValueError(f"voter {i} ballot set out of range")
+            subset = tuple(sorted(subset))
             w = Fraction(w)
             if w <= 0:
                 raise ValueError(f"voter {i} has a nonpositive ballot weight")

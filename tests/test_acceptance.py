@@ -38,7 +38,6 @@ from credalvote import (
     neighborhood,
     parse_scenario,
     pignistic,
-    pignistic_cardinal,
     plurality_winner,
     run,
     scenario_to_setup,
@@ -173,8 +172,13 @@ def test_criterion_2_contested_race_cycles():
         oracle = sum(raw_move_utility(MEIR_SIGN, config.preference, frm, to,
                                       s, tie)
                      for s in neighborhood(state, VOTER_SWAP, 1).points)
-        fast = pignistic_cardinal(config.mass_at(state), config.preference,
-                                  frm, to, tie)
+        # The fast path's pignistic value over the voter's one ball, times
+        # the ball's point count.
+        fast_mass = config.mass_at(state)
+        (ball, _), = fast_mass.assignments
+        fast = evaluate_move(fast_mass, DecisionRule(PIGNISTIC), MEIR_SIGN,
+                             config.preference, frm, to,
+                             tie).pignistic_value * len(ball.points)
         if not oracle == fast == expected > 0:
             problems.append(f"net count at {state} for voter {voter} "
                             f"{frm}->{to}: oracle {oracle}, fast {fast}, "
@@ -336,6 +340,10 @@ def test_criterion_8_certainty_collapses_the_rules():
 
 
 def test_criterion_9_dominance_agrees_with_the_extension_oracle():
+    """Incomplete preferences: dominating manipulation over one product
+    mass agrees with a scan of every completion of the others' partial
+    orders (Conitzer, Walsh & Xia, "Dominating manipulations in voting with
+    partial information", AAAI 2011), on 500 seeded cases."""
     rng = random.Random(76)
     tie = TieBreakOrder.default(3)
     all_pairs = [(x, y) for x in range(3) for y in range(3) if x != y]

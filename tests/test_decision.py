@@ -39,11 +39,9 @@ from credalvote import (
     lower_expectation,
     neighborhood,
     pignistic,
-    pignistic_cardinal,
     plurality_winner,
     possible_tops,
     product_mass,
-    rank_utility,
     upper_expectation,
 )
 from credalvote import decision
@@ -123,10 +121,9 @@ class TestMoveUtility:
         assert direct in (meir, 0)
         if direct == 1:
             assert plurality_winner(apply_move(s, frm, to), tie) == to
-        u = rank_utility(pref)
         before = plurality_winner(s, tie)
         after = plurality_winner(apply_move(s, frm, to), tie)
-        assert cardinal == u[after] - u[before]
+        assert cardinal == pref.rank_of(before) - pref.rank_of(after)
         sign = (cardinal > 0) - (cardinal < 0)
         assert sign == meir
 
@@ -252,6 +249,10 @@ class TestEvaluateMove:
            st.integers(0, 2), st.integers(0, 2), tie_orders())
     def test_bayesian_beliefs_collapse_the_rules(self, mass, pref, frm, to,
                                                  tie):
+        """Probabilities: on a Bayesian mass the lower, upper and pignistic
+        expectations are one expected utility, so every rule gives the same
+        value and verdict (the abstract's "includes in one sweep"; Denoeux,
+        "Decision-making with belief functions: a review", IJAR 2019)."""
         rules = [DecisionRule(PESSIMISTIC), DecisionRule(PIGNISTIC),
                  DecisionRule(MIXTURE, alpha=HALF),
                  DecisionRule(HURWICZ, alpha=HALF)]
@@ -272,18 +273,12 @@ class TestEvaluateMove:
 
 
 class TestPignisticCardinal:
+    """Improving minus worsening states over one ball: the pignistic value
+    of the sign utility times the ball's point count."""
+
     TIE4 = TieBreakOrder.default(4)
     PREF_DBAC = Preference((3, 1, 0, 2))
     PREF_CABD = Preference((2, 0, 1, 3))
-
-    @staticmethod
-    def ball_mass(center):
-        focal = neighborhood(center, L1_ADDREMOVE, 1)
-        return MassFunction(((focal, Fraction(1)),))
-
-    def test_requires_single_focal(self):
-        with pytest.raises(ValueError):
-            pignistic_cardinal(MIXED_MASS, PREF_BCA, 1, 2, TIE3)
 
     def test_net_counts_along_a_contested_run(self):
         cases = [
@@ -293,23 +288,17 @@ class TestPignisticCardinal:
             ((3, 2, 2, 3), self.PREF_CABD, 0, 2, 3),
         ]
         for center, pref, frm, to, expected in cases:
-            mass = self.ball_mass(center)
-            diff = pignistic_cardinal(mass, pref, frm, to, self.TIE4)
-            assert diff == expected, (center, frm, to)
+            ball = neighborhood(center, L1_ADDREMOVE, 1)
+            mass = MassFunction(((ball, Fraction(1)),))
+            out = evaluate_move(mass, DecisionRule(PIGNISTIC), MEIR_SIGN,
+                                pref, frm, to, self.TIE4)
+            assert out.pignistic_value * len(ball.points) == expected, \
+                (center, frm, to)
             # the oracle sums raw winner comparisons, bypassing _pair_counts
             oracle = sum(raw_move_utility(MEIR_SIGN, pref, frm, to, s,
                                           self.TIE4)
-                         for s in mass.assignments[0][0].points)
+                         for s in ball.points)
             assert oracle == expected, (center, frm, to)
-
-    @given(mass_functions(max_focals=1), preferences(), st.integers(0, 2),
-           st.integers(0, 2), tie_orders())
-    def test_sign_agrees_with_pignistic_rule(self, mass, pref, frm, to, tie):
-        diff = pignistic_cardinal(mass, pref, frm, to, tie)
-        out = evaluate_move(mass, DecisionRule(PIGNISTIC), MEIR_SIGN, pref,
-                            frm, to, tie)
-        assert (diff > 0) == (out.verdict == STRICTLY_PREFERRED)
-        assert (diff == 0) == (out.verdict == WEAKLY_PREFERRED)
 
 
 class TestPairCountCache:

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +12,6 @@ from credalvote import (
     linear_extensions,
     plurality_winner,
     possible_tops,
-    rank_utility,
     tally,
     validate_score,
 )
@@ -61,7 +58,16 @@ def test_partial_preference_rejects_cycles():
     with pytest.raises(ValueError):
         PartialPreference.from_pairs([(0, 1), (1, 2), (2, 0)])
     partial = PartialPreference.from_pairs([(0, 1), (1, 2)])
-    assert partial.requires(0, 2)
+    extensions = linear_extensions(partial, ABC)
+    assert extensions
+    assert all(p.prefers(0, 2) for p in extensions)
+
+
+def test_partial_preference_refuses_non_integers():
+    # int() would read (0.9, 1.7) as the pair (0, 1).
+    for pairs in ([(0.9, 1.7)], [(True, 2)], [("a", "b")]):
+        with pytest.raises(ValueError, match="must be integers"):
+            PartialPreference.from_pairs(pairs)
 
 
 def test_validate_score():
@@ -127,22 +133,6 @@ def test_apply_move_totals(s, frm, to):
         assert moved[frm] == s[frm] - 1 and moved[to] == s[to] + 1
     else:
         assert sum(moved) == sum(s) + 1
-
-
-def test_rank_utility_examples():
-    assert rank_utility(Preference((0, 1, 2))) == {0: 2, 1: 1, 2: 0}
-    assert rank_utility(Preference((2, 0, 1))) == {2: 2, 0: 1, 1: 0}
-
-
-@given(preferences(m=4))
-def test_rank_utility_preserves_order(pref):
-    u = rank_utility(pref)
-    assert max(u, key=u.get) == pref.top
-    for x in range(4):
-        for y in range(4):
-            if x != y:
-                assert pref.prefers(x, y) == (u[x] > u[y])
-    assert sorted(u.values()) == [Fraction(k) for k in range(4)]
 
 
 def test_linear_extensions_examples():

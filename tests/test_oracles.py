@@ -94,8 +94,23 @@ class TestDominanceOracle:
            st.lists(partial_preferences(), min_size=1, max_size=3),
            st.integers(0, 2), st.integers(0, 2), tie_orders())
     def test_matches_extension_scan(self, pref, others, frm, to, tie):
+        """Incomplete preferences: `dominating_manipulation` is strict
+        exactly when the move never hurts and sometimes helps over every
+        completion of the others' partial orders (Conitzer, Walsh & Xia,
+        "Dominating manipulations in voting with partial information",
+        AAAI 2011), checked against a scan of all linear extensions."""
         fast = dominating_manipulation(pref, others, frm, to, tie)
         assert fast == oracle_dominance(pref, others, frm, to, tie)
+
+    def test_out_of_range_candidate_refused_by_both(self):
+        # Candidate 5 (or -1) of three: the fast path used to return False
+        # while the oracle raised KeyError.
+        pref, tie = Preference((0, 1, 2)), TieBreakOrder.default(3)
+        for pair in ((0, 5), (-1, 0)):
+            others = [PartialPreference.from_pairs([pair])]
+            for check in (dominating_manipulation, oracle_dominance):
+                with pytest.raises(ValueError, match="outside 0..2"):
+                    check(pref, others, 0, 1, tie)
 
     def test_completion_cap(self):
         empty = PartialPreference.from_pairs([])

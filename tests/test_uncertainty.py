@@ -14,10 +14,8 @@ from credalvote import (
     LayeredBelief,
     MassFunction,
     VOTER_SWAP,
-    classify,
     layered_to_mass,
     lower_expectation,
-    lower_probability,
     multinomial_distribution,
     neighborhood,
     pignistic,
@@ -25,7 +23,6 @@ from credalvote import (
     product_mass,
     TieBreakOrder,
     upper_expectation,
-    upper_probability,
 )
 from credalvote import uncertainty
 from credalvote.oracles import oracle_pignistic
@@ -41,6 +38,13 @@ MIXED_MASS = MassFunction((
 ))
 
 
+def indicator(event):
+    """The event's indicator utility: its lower expectation is the event's
+    belief, its upper expectation the event's plausibility."""
+    points = set(event)
+    return lambda s: int(s in points)
+
+
 class TestFocalElement:
     def test_box_expansion_with_total(self):
         focal = FocalElement.from_box([(0, 1), (1, 2), (1, 1)], total=3)
@@ -49,6 +53,14 @@ class TestFocalElement:
     def test_box_expansion_without_total(self):
         focal = FocalElement.from_box([(0, 1), (1, 2), (1, 1)])
         assert focal.points == ((0, 1, 1), (0, 2, 1), (1, 1, 1), (1, 2, 1))
+
+    def test_box_refuses_non_integers(self):
+        # int() would truncate 0.5 and 2.7 to a three-point box, and True is
+        # an int to isinstance.
+        for intervals, total in (([(0.5, 2.7)], None), ([(True, 2)], None),
+                                 ([(0, 3)], 2.0), ([(0, 3)], True)):
+            with pytest.raises(ValueError, match="box (bounds|total) must be"):
+                FocalElement.from_box(intervals, total)
 
     def test_box_equals_points_canonically(self):
         box = FocalElement.from_box([(0, 1), (1, 2), (1, 1)], total=3)
@@ -117,31 +129,36 @@ class TestMassFunction:
 
 
 class TestProbabilities:
+    """Belief and plausibility of an event, as the lower and upper
+    expectations of its indicator."""
+
     def test_pinned_event_bounds(self):
-        event = [(1, 1, 1)]
-        assert lower_probability(MIXED_MASS, event) == HALF
-        assert upper_probability(MIXED_MASS, event) == 1
+        event = indicator([(1, 1, 1)])
+        assert lower_expectation(MIXED_MASS, event) == HALF
+        assert upper_expectation(MIXED_MASS, event) == 1
 
     def test_empty_and_full_events(self):
-        assert lower_probability(MIXED_MASS, []) == 0
-        assert upper_probability(MIXED_MASS, []) == 0
-        assert lower_probability(MIXED_MASS, MIXED_MASS.support()) == 1
+        assert lower_expectation(MIXED_MASS, indicator([])) == 0
+        assert upper_expectation(MIXED_MASS, indicator([])) == 0
+        assert lower_expectation(MIXED_MASS,
+                                 indicator(MIXED_MASS.support())) == 1
 
     @given(mass_functions(), st.sets(scores(max_votes=3)))
     def test_bounds_and_duality(self, mass, event):
-        lower = lower_probability(mass, event)
-        upper = upper_probability(mass, event)
+        lower = lower_expectation(mass, indicator(event))
+        upper = upper_expectation(mass, indicator(event))
         assert 0 <= lower <= upper <= 1
         universe = set(mass.support())
         complement = universe - set(event)
-        assert upper_probability(mass, event & universe) == \
-            1 - lower_probability(mass, complement)
+        assert upper_expectation(mass, indicator(event & universe)) == \
+            1 - lower_expectation(mass, indicator(complement))
 
     @given(mass_functions(), st.sets(scores(max_votes=3)),
            st.sets(scores(max_votes=3)))
     def test_lower_probability_monotone(self, mass, a, extra):
         b = a | extra
-        assert lower_probability(mass, a) <= lower_probability(mass, b)
+        assert lower_expectation(mass, indicator(a)) <= \
+            lower_expectation(mass, indicator(b))
 
 
 class TestExpectations:
@@ -188,7 +205,7 @@ class TestExpectations:
                              (FocalElement.from_points([(0, 1)]), HALF)))
         assert lower_expectation(mass, {(1, 0): 2, (0, 1): 0}) == 1
         assert upper_expectation(mass, {(1, 0): 2, (0, 1): 0}) == 1
-        assert upper_probability(mass, [(9, 9)]) == 0
+        assert upper_expectation(mass, indicator([(9, 9)])) == 0
 
 
 class TestPignistic:
@@ -200,14 +217,16 @@ class TestPignistic:
 
     def test_pinned_mixed_mass(self):
         dist = pignistic(MIXED_MASS)
-        assert upper_probability(dist, [(1, 1, 1)]) == Fraction(3, 4)
-        assert lower_probability(dist, [(0, 2, 1)]) == Fraction(1, 4)
+        assert upper_expectation(dist, indicator([(1, 1, 1)])) == \
+            Fraction(3, 4)
+        assert lower_expectation(dist, indicator([(0, 2, 1)])) == \
+            Fraction(1, 4)
 
     @given(mass_functions(singletons_only=True))
     def test_bayesian_mass_is_its_own_pignistic(self, mass):
         dist = pignistic(mass)
         for focal, w in mass.assignments:
-            assert upper_probability(dist, focal.points) == w
+            assert upper_expectation(dist, indicator(focal.points)) == w
 
     @given(mass_functions())
     def test_probabilities_sum_to_one(self, mass):
@@ -216,7 +235,7 @@ class TestPignistic:
     @given(mass_functions())
     def test_is_a_sorted_bayesian_mass(self, mass):
         for dist in (pignistic(mass), oracle_pignistic(mass)):
-            assert classify(dist) == "bayesian"
+            assert all(len(focal.points) == 1 for focal, _ in dist.assignments)
             points = [focal.points[0] for focal, _ in dist.assignments]
             assert points == sorted(points) == list(mass.support())
 
@@ -397,7 +416,8 @@ class TestLayered:
         assert sizes == sorted(sizes)
         assert [w for _, w in mass.assignments] == \
             [HALF, Fraction(3, 10), Fraction(1, 5)]
-        assert classify(mass) == "necessity"
+        balls = [set(f.points) for f, _ in mass.assignments]
+        assert all(a < b for a, b in zip(balls, balls[1:]))
 
     def test_partitioned_rings_disjoint(self):
         layered = LayeredBelief(kind="partitioned", radii=(1, 2, 3),
@@ -409,7 +429,6 @@ class TestLayered:
                 assert not expansions[i] & expansions[j]
         ball3 = set(neighborhood((10, 9, 11), L1_ADDREMOVE, 3).points)
         assert set().union(*expansions) == ball3
-        assert classify(mass) == "inner"
 
     def test_coinciding_nested_balls_fold(self):
         # From (2, 0, 0) two swaps already reach every 2-vote score, so the
@@ -447,31 +466,6 @@ class TestLayered:
                 LayeredBelief(kind="nested", radii=radii, weights=(1,))
 
 
-class TestClassify:
-    def test_bayesian(self):
-        mass = MassFunction((
-            (FocalElement.from_points([(1, 0, 0)]), HALF),
-            (FocalElement.from_points([(0, 1, 0)]), HALF)))
-        assert classify(mass) == "bayesian"
-
-    def test_vacuous_needs_universe(self):
-        focal = FocalElement.from_points([(1, 0), (0, 1)])
-        mass = MassFunction(((focal, Fraction(1)),))
-        assert classify(mass, universe=[(1, 0), (0, 1)]) == "vacuous"
-        assert classify(mass) == "necessity"
-
-    def test_general(self):
-        mass = MassFunction((
-            (FocalElement.from_points([(1, 0), (0, 1)]), HALF),
-            (FocalElement.from_points([(0, 1), (2, 0)]), HALF)))
-        assert classify(mass) == "general"
-
-    def test_radius_zero_layer_is_bayesian(self):
-        layered = LayeredBelief(kind="nested", radii=(0,),
-                                weights=(Fraction(1),))
-        assert classify(layered_to_mass(layered, (1, 1, 0))) == "bayesian"
-
-
 class TestProductMass:
     def test_two_candidate_example(self):
         mass = product_mass(
@@ -495,6 +489,12 @@ class TestProductMass:
                             candidates_m=3)
         assert mass == MassFunction(
             ((FocalElement.from_points([(1, 1, 0)]), Fraction(1)),))
+
+    def test_refuses_non_integer_candidates(self):
+        # int() would read candidate 0.9 as candidate 0.
+        for subset in ({0.9, 1}, {True}, {"a"}):
+            with pytest.raises(ValueError, match="ballot set out of range"):
+                product_mass([[(subset, 1)]], 3)
 
     def test_merges_duplicate_focals(self):
         # both hesitation patterns produce the same score set
@@ -520,10 +520,10 @@ class TestProductMass:
 class TestMultinomial:
     def test_symmetric_binomial(self):
         dist = multinomial_distribution((HALF, HALF), 2)
-        assert classify(dist) == "bayesian"
-        assert upper_probability(dist, [(2, 0)]) == Fraction(1, 4)
-        assert upper_probability(dist, [(1, 1)]) == HALF
-        assert upper_probability(dist, [(0, 2)]) == Fraction(1, 4)
+        assert all(len(focal.points) == 1 for focal, _ in dist.assignments)
+        assert lower_expectation(dist, indicator([(2, 0)])) == Fraction(1, 4)
+        assert lower_expectation(dist, indicator([(1, 1)])) == HALF
+        assert lower_expectation(dist, indicator([(0, 2)])) == Fraction(1, 4)
 
     def test_point_mass(self):
         dist = multinomial_distribution((Fraction(1), Fraction(0), Fraction(0)), 5)
@@ -532,8 +532,9 @@ class TestMultinomial:
 
     def test_uniform_three(self):
         dist = multinomial_distribution((Fraction(1, 3),) * 3, 3)
-        assert upper_probability(dist, [(1, 1, 1)]) == Fraction(6, 27)
-        assert classify(dist) == "bayesian"
+        assert lower_expectation(dist, indicator([(1, 1, 1)])) == \
+            Fraction(6, 27)
+        assert all(len(focal.points) == 1 for focal, _ in dist.assignments)
 
     @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 4))
     def test_marginal_matches_binomial(self, n, num, extra):
@@ -541,7 +542,7 @@ class TestMultinomial:
         p = Fraction(num, num + extra + 1)
         dist = multinomial_distribution((p, 1 - p), n)
         for k in range(n + 1):
-            assert upper_probability(dist, [(k, n - k)]) == \
+            assert lower_expectation(dist, indicator([(k, n - k)])) == \
                 comb(n, k) * p ** k * (1 - p) ** (n - k)
 
     def test_validation(self):
