@@ -22,7 +22,7 @@ from .election import (
     plurality_winner,
     possible_tops,
 )
-from .uncertainty import FocalElement, MassFunction, product_mass
+from .uncertainty import FocalElement, MassFunction, _rational, product_mass
 
 MEIR_SIGN = "meir_sign"
 DIRECT_BEST_RESPONSE = "direct_best_response"
@@ -59,7 +59,7 @@ class DecisionRule:
         if needs_alpha:
             if self.alpha is None:
                 raise ValueError(f"{self.kind} needs an alpha")
-            alpha = Fraction(self.alpha)
+            alpha = _rational(self.alpha)
             if not 0 <= alpha <= 1:
                 raise ValueError("alpha must lie in [0, 1]")
             object.__setattr__(self, "alpha", alpha)

@@ -71,20 +71,19 @@ class Preference:
 
 @dataclass(frozen=True)
 class PartialPreference:
-    """A strict partial order over candidates, as a set of (better, worse) pairs."""
+    """A strict partial order over candidates, as a set of (better, worse)
+    pairs; any iterable of pairs is held as a frozenset."""
 
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        object.__setattr__(self, "pairs",
+                           frozenset((x, y) for x, y in self.pairs))
         if any(type(c) is not int for pair in self.pairs for c in pair):
             raise ValueError("partial preference candidates must be integers")
         closure = transitive_closure(self.pairs)
         if any((x, x) in closure for x, _ in closure):
             raise ValueError("partial preference contains a cycle")
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "PartialPreference":
-        return cls(frozenset((x, y) for x, y in pairs))
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class BallotProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "ballots", tuple(self.ballots))
-        if any(b < 0 for b in self.ballots):
+        if any(type(b) is not int or b < 0 for b in self.ballots):
             raise ValueError("ballots must be candidate indices")
 
     @property
@@ -104,7 +103,7 @@ class BallotProfile:
 
     def with_ballot(self, voter: int, candidate: int) -> "BallotProfile":
         """This profile with one ballot changed; only that ballot is checked."""
-        if candidate < 0:
+        if type(candidate) is not int or candidate < 0:
             raise ValueError("ballots must be candidate indices")
         ballots = list(self.ballots)
         ballots[voter] = candidate

@@ -24,11 +24,14 @@ from .uncertainty import FocalElement, MassFunction
 from .decision import (
     CARDINAL_RANK,
     DIRECT_BEST_RESPONSE,
-    HURWICZ,
     MEIR_SIGN,
     MIXTURE,
+    NOT_PREFERRED,
     PESSIMISTIC,
     PIGNISTIC,
+    STRICTLY_PREFERRED,
+    WEAKLY_PREFERRED,
+    MoveEvaluation,
 )
 from .dynamics import GameState, VoterConfig
 
@@ -105,31 +108,42 @@ def raw_move_utility(model: str, pref: Preference, frm: int, to: int, s: Score,
     return Fraction(0)
 
 
-def _raw_verdict_is_strict(mass: MassFunction, config: VoterConfig, frm: int,
-                           to: int, tie: TieBreakOrder) -> bool:
-    """Strictness re-derived from raw expectations, bypassing evaluate_move."""
-    pref = config.preference
-    model = config.utility
-    lower = Fraction(0)
-    upper = Fraction(0)
+def oracle_evaluation(mass: MassFunction, config: VoterConfig, frm: int,
+                      to: int, tie: TieBreakOrder) -> MoveEvaluation:
+    """The move's evaluation re-derived point by point from raw winner
+    comparisons, bypassing evaluate_move's pair counts and integer sums.
+
+    Lower and upper take each focal element's worst and best utility;
+    the pignistic value, for the pignistic and mixture rules only, weighs
+    each point by its pignistic probability.
+    """
+    pref, model, rule = config.preference, config.utility, config.rule
+    lower = upper = Fraction(0)
     for focal, w in mass.assignments:
         values = [raw_move_utility(model, pref, frm, to, s, tie)
                   for s in focal.points]
         lower += w * min(values)
         upper += w * max(values)
-    rule = config.rule
-    if rule.kind == PESSIMISTIC:
-        return lower >= 0 and upper > 0
+    pig = None
     if rule.kind in (PIGNISTIC, MIXTURE):
-        singletons = oracle_pignistic(mass).assignments
-        pig = sum(w * raw_move_utility(model, pref, frm, to, f.points[0], tie)
-                  for f, w in singletons)
+        pig = sum((w * raw_move_utility(model, pref, frm, to, f.points[0], tie)
+                   for f, w in oracle_pignistic(mass).assignments),
+                  Fraction(0))
+    if rule.kind == PESSIMISTIC:
+        value = lower
+        verdict = (NOT_PREFERRED if lower < 0 else
+                   STRICTLY_PREFERRED if upper > 0 else WEAKLY_PREFERRED)
+    else:
         if rule.kind == PIGNISTIC:
-            return pig > 0
-        return rule.alpha * lower + (1 - rule.alpha) * pig > 0
-    if rule.kind == HURWICZ:
-        return rule.alpha * lower + (1 - rule.alpha) * upper > 0
-    raise ValueError(f"unknown decision rule {rule.kind!r}")
+            value = pig
+        elif rule.kind == MIXTURE:
+            value = rule.alpha * lower + (1 - rule.alpha) * pig
+        else:
+            value = rule.alpha * lower + (1 - rule.alpha) * upper
+        verdict = (STRICTLY_PREFERRED if value > 0 else
+                   WEAKLY_PREFERRED if value == 0 else NOT_PREFERRED)
+    return MoveEvaluation(lower=lower, upper=upper, pignistic_value=pig,
+                          criterion_value=value, verdict=verdict)
 
 
 def oracle_equilibrium(state: GameState, configs: Sequence[VoterConfig],
@@ -147,7 +161,8 @@ def oracle_equilibrium(state: GameState, configs: Sequence[VoterConfig],
         for to in range(m):
             if to == frm:
                 continue
-            if _raw_verdict_is_strict(mass, config, frm, to, tie):
+            if (oracle_evaluation(mass, config, frm, to, tie).verdict
+                    == STRICTLY_PREFERRED):
                 found_strict = True
     return not found_strict
 

@@ -30,6 +30,16 @@ class ExpansionCapError(ValueError):
     """A focal element would expand past DEFAULT_CAP points."""
 
 
+def _rational(value) -> Fraction:
+    """An exact weight as a Fraction. Floats are refused, since their binary
+    rounding can tip a criterion across zero; bools are refused as not
+    numbers."""
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"{value!r} is not exact: give an int, a Fraction "
+                         f"or a 'p/q' string")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class FocalElement:
     """A nonempty set of score vectors of one length, held sorted.
@@ -126,7 +136,7 @@ class MassFunction:
     def __post_init__(self):
         if not self.assignments:
             raise ValueError("mass function needs at least one focal element")
-        norm = tuple((focal, Fraction(w)) for focal, w in self.assignments)
+        norm = tuple((focal, _rational(w)) for focal, w in self.assignments)
         object.__setattr__(self, "assignments", norm)
         if any(w <= 0 for _, w in norm):
             raise ValueError("every mass weight must be positive")
@@ -139,13 +149,6 @@ class MassFunction:
         den = math.lcm(*(w.denominator for _, w in norm))
         object.__setattr__(self, "_scaled", (den, tuple(
             w.numerator * (den // w.denominator) for _, w in norm)))
-
-    def support(self) -> tuple[Score, ...]:
-        """Union of all focal expansions, sorted."""
-        points: set[Score] = set()
-        for focal, _ in self.assignments:
-            points.update(focal.points)
-        return tuple(sorted(points))
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,7 @@ class LayeredBelief:
             raise ValueError("radii must be nonnegative")
         if list(self.radii) != sorted(set(self.radii)):
             raise ValueError("radii must be strictly increasing")
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = tuple(_rational(w) for w in self.weights)
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(self.radii):
             raise ValueError("need one weight per radius")
@@ -341,7 +344,7 @@ def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]
                    for c in subset):
                 raise ValueError(f"voter {i} ballot set out of range")
             subset = tuple(sorted(subset))
-            w = Fraction(w)
+            w = _rational(w)
             if w <= 0:
                 raise ValueError(f"voter {i} has a nonpositive ballot weight")
             cleaned.append((subset, w))
@@ -379,7 +382,7 @@ def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]
 def multinomial_distribution(q: Sequence[Fraction], n: int) -> MassFunction:
     """Exact multinomial distribution over all score vectors summing to n, as
     a Bayesian mass."""
-    q = [Fraction(x) for x in q]
+    q = [_rational(x) for x in q]
     if not q:
         raise ValueError("need at least one weight")
     if any(x < 0 for x in q):

@@ -58,9 +58,19 @@ def mass_functions(draw, m: int = 3, max_focals: int = 4, max_points: int = 4,
 @st.composite
 def mass_and_utility(draw, **kwargs):
     mass = draw(mass_functions(**kwargs))
+    points = set().union(*(focal.points for focal, _ in mass.assignments))
     u = {s: Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3)))
-         for s in mass.support()}
+         for s in sorted(points)}
     return mass, u
+
+
+@st.composite
+def decision_rules(draw):
+    kind = draw(st.sampled_from(RULE_KINDS))
+    if kind in (MIXTURE, HURWICZ):
+        return DecisionRule(kind, alpha=draw(
+            st.fractions(min_value=0, max_value=1, max_denominator=4)))
+    return DecisionRule(kind)
 
 
 @st.composite
@@ -69,7 +79,7 @@ def partial_preferences(draw, m: int = 3):
     pairs = draw(st.lists(st.sampled_from(candidates), max_size=m + 1,
                           unique=True))
     try:
-        return PartialPreference.from_pairs(pairs)
+        return PartialPreference(pairs)
     except ValueError:
         assume(False)
 
@@ -84,12 +94,7 @@ def small_games(draw, voters: tuple[int, int] = (2, 3)):
     ballots = tuple(draw(st.integers(0, 2)) for _ in range(n))
     configs = []
     for _ in range(n):
-        kind = draw(st.sampled_from(RULE_KINDS))
-        if kind in (MIXTURE, HURWICZ):
-            rule = DecisionRule(kind, alpha=draw(
-                st.fractions(min_value=0, max_value=1, max_denominator=4)))
-        else:
-            rule = DecisionRule(kind)
+        rule = draw(decision_rules())
         belief = draw(st.one_of(
             st.just(LayeredBelief(kind=NESTED, radii=(1,),
                                   weights=(Fraction(1),))),

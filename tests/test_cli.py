@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -110,7 +111,20 @@ class TestVerify:
         main(["verify", "example4"])
         out = capsys.readouterr().out
         assert "ok: voter 1: pignistic transform agrees" in out
-        assert "ok: voter 1: move b->c lower/upper agree" in out
+        assert "ok: voter 1: move b->c evaluation agrees" in out
+
+    def test_checks_every_move_past_the_selection_caps(self, capsys):
+        # 21 voters and 5 candidates over voter-swap balls of 17 and 93
+        # points, past what the selection-product oracle enumerates: each
+        # of the 21 * 4 moves is still checked.
+        path = (pathlib.Path(__file__).parent / "golden" / "scenarios"
+                / "voter_swap_nested.json")
+        assert main(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        moves = [line for line in lines if line.endswith("evaluation agrees")]
+        assert len(moves) == 84
+        assert all(line.startswith("ok: ") for line in moves)
+        assert not any("skipped" in line for line in lines)
 
 
 class TestCampaign:

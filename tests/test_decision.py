@@ -87,6 +87,22 @@ class TestDecisionRule:
         with pytest.raises(ValueError):
             DecisionRule(PESSIMISTIC, alpha=HALF)
 
+    def test_float_alpha_refused(self):
+        # The float 0.49 lies just below 49/100, which would tip this
+        # Hurwicz value from 0 to a positive sliver and the verdict from
+        # weak to strict.
+        pair = FocalElement.from_points([(1, 1, 1), (0, 2, 1)])
+        mass = MassFunction(((pair, Fraction(50, 51)),
+                             (FocalElement.from_points([(0, 2, 1)]),
+                              Fraction(1, 51))))
+        out = evaluate_move(mass, DecisionRule(HURWICZ, alpha="49/100"),
+                            MEIR_SIGN, PREF_BCA, 1, 2, TIE3)
+        assert (out.criterion_value, out.verdict) == (0, WEAKLY_PREFERRED)
+        for kind in (HURWICZ, MIXTURE):
+            for alpha in (0.49, 1.0, True):
+                with pytest.raises(ValueError, match="not exact"):
+                    DecisionRule(kind, alpha=alpha)
+
     def test_move_evaluation_ordering(self):
         with pytest.raises(ValueError):
             MoveEvaluation(lower=Fraction(1), upper=Fraction(0),
@@ -517,8 +533,8 @@ class TestCompletionScores:
     """The completions' scores are the one focal element of a product mass."""
 
     def test_mixed_certainty(self):
-        committed = PartialPreference.from_pairs([(2, 0), (2, 1), (0, 1)])
-        leaning = PartialPreference.from_pairs([(0, 2)])
+        committed = PartialPreference([(2, 0), (2, 1), (0, 1)])
+        leaning = PartialPreference([(0, 2)])
         mass = completion_mass(1, [committed, leaning], 3)
         assert mass.assignments == ((FocalElement.from_points(
             [(0, 2, 1), (1, 1, 1)]), Fraction(1)),)
@@ -529,7 +545,7 @@ class TestCompletionScores:
 
     def test_cap(self):
         # 3**11 completions of eleven undecided others.
-        empty = PartialPreference.from_pairs([])
+        empty = PartialPreference([])
         with pytest.raises(ExpansionCapError,
                            match="score enumeration exceeds cap 100000"):
             dominating_manipulation(Preference((1, 0, 2)), [empty] * 11, 0,
@@ -539,17 +555,17 @@ class TestCompletionScores:
 class TestDominatingManipulation:
     def test_undecided_other(self):
         pref = Preference((1, 0, 2))
-        undecided = PartialPreference.from_pairs([])
+        undecided = PartialPreference([])
         assert dominating_manipulation(pref, [undecided], 2, 1, TIE3)
         assert not dominating_manipulation(pref, [undecided], 2, 0, TIE3)
 
     def test_single_completion_flip(self):
         pref = Preference((2, 0, 1))
-        committed = PartialPreference.from_pairs([(2, 0), (2, 1), (0, 1)])
+        committed = PartialPreference([(2, 0), (2, 1), (0, 1)])
         assert dominating_manipulation(pref, [committed], 0, 2, TIE3)
 
     def test_non_pivotal(self):
         pref = Preference((1, 0, 2))
-        landslide = PartialPreference.from_pairs([(0, 1), (0, 2), (1, 2)])
+        landslide = PartialPreference([(0, 1), (0, 2), (1, 2)])
         assert not dominating_manipulation(
             pref, [landslide] * 4, 2, 1, TIE3)

@@ -56,8 +56,8 @@ def test_preference_validation():
 
 def test_partial_preference_rejects_cycles():
     with pytest.raises(ValueError):
-        PartialPreference.from_pairs([(0, 1), (1, 2), (2, 0)])
-    partial = PartialPreference.from_pairs([(0, 1), (1, 2)])
+        PartialPreference([(0, 1), (1, 2), (2, 0)])
+    partial = PartialPreference([(0, 1), (1, 2)])
     extensions = linear_extensions(partial, ABC)
     assert extensions
     assert all(p.prefers(0, 2) for p in extensions)
@@ -67,7 +67,7 @@ def test_partial_preference_refuses_non_integers():
     # int() would read (0.9, 1.7) as the pair (0, 1).
     for pairs in ([(0.9, 1.7)], [(True, 2)], [("a", "b")]):
         with pytest.raises(ValueError, match="must be integers"):
-            PartialPreference.from_pairs(pairs)
+            PartialPreference(pairs)
 
 
 def test_validate_score():
@@ -99,6 +99,15 @@ def test_negative_ballots_rejected():
     with pytest.raises(ValueError):
         profile.with_ballot(1, -1)
     assert profile.with_ballot(1, 0) == BallotProfile((0, 0, 1))
+
+
+def test_ballots_must_be_integers():
+    # 0.5 used to pass and fail later inside tally; True was candidate 1.
+    for ballots in ((0.5, 1), (True, 1), ("a",)):
+        with pytest.raises(ValueError, match="candidate indices"):
+            BallotProfile(ballots)
+    with pytest.raises(ValueError, match="candidate indices"):
+        BallotProfile((0, 2, 1)).with_ballot(1, True)
 
 
 def test_winner_examples():
@@ -136,20 +145,20 @@ def test_apply_move_totals(s, frm, to):
 
 
 def test_linear_extensions_examples():
-    partial = PartialPreference.from_pairs([(0, 2)])
+    partial = PartialPreference([(0, 2)])
     exts = linear_extensions(partial, ABC)
     assert {p.ranking for p in exts} == {(0, 2, 1), (1, 0, 2), (0, 1, 2)}
-    empty = PartialPreference.from_pairs([])
+    empty = PartialPreference([])
     assert len(linear_extensions(empty, ABC)) == 6
-    full = PartialPreference.from_pairs([(2, 0), (0, 1)])
+    full = PartialPreference([(2, 0), (0, 1)])
     assert {p.ranking for p in linear_extensions(full, ABC)} == {(2, 0, 1)}
 
 
 def test_possible_tops_examples():
-    assert possible_tops(PartialPreference.from_pairs([(0, 2)]), 3) == {0, 1}
-    assert possible_tops(PartialPreference.from_pairs([]), 3) == {0, 1, 2}
+    assert possible_tops(PartialPreference([(0, 2)]), 3) == {0, 1}
+    assert possible_tops(PartialPreference([]), 3) == {0, 1, 2}
     assert possible_tops(
-        PartialPreference.from_pairs([(2, 0), (0, 1)]), 3) == {2}
+        PartialPreference([(2, 0), (0, 1)]), 3) == {2}
 
 
 @given(partial_preferences(m=3))

@@ -12,6 +12,7 @@ from credalvote import (
     Preference,
     TieBreakOrder,
     UTILITY_MODELS,
+    VoterConfig,
     dominating_manipulation,
     equilibrium_check,
     evaluate_move,
@@ -24,12 +25,14 @@ from credalvote.oracles import (
     ORACLE_MAX_POINTS,
     oracle_dominance,
     oracle_equilibrium,
+    oracle_evaluation,
     oracle_lower_expectation,
     oracle_pignistic,
     oracle_upper_expectation,
     raw_move_utility,
 )
 from strategies import (
+    decision_rules,
     mass_and_utility,
     mass_functions,
     partial_preferences,
@@ -61,6 +64,19 @@ class TestExpectationOracles:
                             model, pref, frm, to, tie)
         assert out.lower == oracle_lower_expectation(mass, u)
         assert out.upper == oracle_upper_expectation(mass, u)
+
+    @given(mass_functions(), preferences(), st.integers(0, 2),
+           st.integers(0, 2), tie_orders(), st.sampled_from(UTILITY_MODELS),
+           decision_rules())
+    def test_move_evaluation_matches_point_scan(self, mass, pref, frm, to,
+                                                tie, model, rule):
+        """All five fields of `evaluate_move`, for every rule of Denoeux,
+        "Decision-making with belief functions: a review" (IJAR 2019),
+        equal the per-point oracle that `verify` runs."""
+        config = VoterConfig(preference=pref, belief=mass, rule=rule,
+                             utility=model)
+        assert evaluate_move(mass, rule, model, pref, frm, to, tie) == \
+            oracle_evaluation(mass, config, frm, to, tie)
 
     def test_focal_count_cap(self):
         singletons = [FocalElement.from_points([(i, 0, 0)])
@@ -107,13 +123,13 @@ class TestDominanceOracle:
         # while the oracle raised KeyError.
         pref, tie = Preference((0, 1, 2)), TieBreakOrder.default(3)
         for pair in ((0, 5), (-1, 0)):
-            others = [PartialPreference.from_pairs([pair])]
+            others = [PartialPreference([pair])]
             for check in (dominating_manipulation, oracle_dominance):
                 with pytest.raises(ValueError, match="outside 0..2"):
                     check(pref, others, 0, 1, tie)
 
     def test_completion_cap(self):
-        empty = PartialPreference.from_pairs([])
+        empty = PartialPreference([])
         pref = Preference((0, 1, 2, 3))
         with pytest.raises(ValueError):
             oracle_dominance(pref, [empty] * 3, 0, 1, TieBreakOrder.default(4))

@@ -1,10 +1,13 @@
-"""Every function exported from `credalvote` has a caller in the package, or
-states a claim of the paper that a test checks.
+"""Every function exported from `credalvote`, and every public method,
+property and classmethod of an exported class, has a caller in the package,
+or states a claim of the paper that a test checks.
 
-A caller is a `Name` or `Attribute` reference, in some module of
-`src/credalvote` other than `__init__.py`, outside the function's own `def`.
-A name imported under an alias is reached through the alias. Docstrings and
-comments are not references.
+A caller is a reference in some module of `src/credalvote` other than
+`__init__.py`, outside the function's own `def`. For a function it is a
+`Name` or `Attribute` reference, and a name imported under an alias is
+reached through the alias. For a member of a class only an `Attribute`
+reference counts, so a local variable of the same name does not reach it.
+Docstrings and comments are not references.
 """
 import ast
 import inspect
@@ -27,12 +30,14 @@ ALLOWED = {
 
 class _References(ast.NodeVisitor):
     """Names referenced outside the `def` of the same name, aliases
-    resolved to the imported name."""
+    resolved to the imported name; `attributes` holds those referenced as
+    an attribute."""
 
     def __init__(self, aliases: dict[str, str]):
         self.aliases = aliases
         self.enclosing: list[str] = []
         self.found: set[str] = set()
+        self.attributes: set[str] = set()
 
     def _add(self, name: str) -> None:
         name = self.aliases.get(name, name)
@@ -48,12 +53,16 @@ class _References(ast.NodeVisitor):
         self._add(node.id)
 
     def visit_Attribute(self, node):
+        if node.attr not in self.enclosing:
+            self.attributes.add(node.attr)
         self._add(node.attr)
         self.generic_visit(node)
 
 
-def package_references() -> set[str]:
-    found = set()
+def package_references() -> tuple[set[str], set[str]]:
+    """All names referenced in the package, and those referenced as an
+    attribute."""
+    found, attributes = set(), set()
     for path in pathlib.Path(credalvote.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -64,7 +73,8 @@ def package_references() -> set[str]:
         visitor = _References(aliases)
         visitor.visit(tree)
         found |= visitor.found
-    return found
+        attributes |= visitor.attributes
+    return found, attributes
 
 
 def exported_functions() -> set[str]:
@@ -72,10 +82,32 @@ def exported_functions() -> set[str]:
             if not name.startswith("_") and inspect.isfunction(obj)}
 
 
+def exported_members() -> dict[str, str]:
+    """`Class.member` -> member name, for the public methods, properties,
+    classmethods and staticmethods defined on each exported class."""
+    kinds = (property, classmethod, staticmethod)
+    return {f"{cls_name}.{name}": name
+            for cls_name, cls in vars(credalvote).items()
+            if not cls_name.startswith("_") and inspect.isclass(cls)
+            for name, obj in vars(cls).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or isinstance(obj, kinds))}
+
+
 def test_every_exported_function_has_a_caller_or_a_claim():
-    unreached = exported_functions() - package_references()
+    unreached = exported_functions() - package_references()[0]
     assert sorted(unreached - set(ALLOWED)) == []
     # An allowed name that gained a caller, or stopped being exported,
     # leaves the list.
     assert sorted(set(ALLOWED) - unreached) == []
 
+
+
+def test_every_public_member_has_an_attribute_caller():
+    attributes = package_references()[1]
+    members = exported_members()
+    # A classmethod and a property are among the members walked.
+    assert {"FocalElement.from_box",
+            "LayeredBelief.has_decreasing_weights"} <= set(members)
+    assert sorted(qualified for qualified, name in members.items()
+                  if name not in attributes) == []

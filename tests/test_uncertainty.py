@@ -45,6 +45,11 @@ def indicator(event):
     return lambda s: int(s in points)
 
 
+def support(mass):
+    """Every point of some focal element, sorted."""
+    return sorted(set().union(*(f.points for f, _ in mass.assignments)))
+
+
 class TestFocalElement:
     def test_box_expansion_with_total(self):
         focal = FocalElement.from_box([(0, 1), (1, 2), (1, 1)], total=3)
@@ -108,14 +113,20 @@ class TestMassFunction:
         with pytest.raises(ValueError):
             MassFunction(((a, Fraction(3, 2)), (b, Fraction(-1, 2))))
 
+    def test_weights_must_be_exact(self):
+        a = FocalElement.from_points([(1, 0, 0)])
+        b = FocalElement.from_points([(0, 1, 0)])
+        for weights in ((0.5, 0.5), (True, 0), (0.25, "3/4")):
+            with pytest.raises(ValueError, match="not exact"):
+                MassFunction(tuple(zip((a, b), weights)))
+        assert MassFunction(((a, "1/4"), (b, Fraction(3, 4)))) == \
+            MassFunction(((a, Fraction(1, 4)), (b, Fraction(3, 4))))
+
     def test_duplicate_focals_rejected_across_representations(self):
         box = FocalElement.from_box([(0, 1), (1, 2), (1, 1)], total=3)
         pts = FocalElement.from_points([(1, 1, 1), (0, 2, 1)])
         with pytest.raises(ValueError):
             MassFunction(((box, HALF), (pts, HALF)))
-
-    def test_support(self):
-        assert MIXED_MASS.support() == ((0, 2, 1), (1, 1, 1))
 
     def test_many_singletons_build_quickly(self):
         # Distinctness is checked on hashes, once per focal element; a check
@@ -141,14 +152,14 @@ class TestProbabilities:
         assert lower_expectation(MIXED_MASS, indicator([])) == 0
         assert upper_expectation(MIXED_MASS, indicator([])) == 0
         assert lower_expectation(MIXED_MASS,
-                                 indicator(MIXED_MASS.support())) == 1
+                                 indicator(support(MIXED_MASS))) == 1
 
     @given(mass_functions(), st.sets(scores(max_votes=3)))
     def test_bounds_and_duality(self, mass, event):
         lower = lower_expectation(mass, indicator(event))
         upper = upper_expectation(mass, indicator(event))
         assert 0 <= lower <= upper <= 1
-        universe = set(mass.support())
+        universe = set(support(mass))
         complement = universe - set(event)
         assert upper_expectation(mass, indicator(event & universe)) == \
             1 - lower_expectation(mass, indicator(complement))
@@ -237,7 +248,7 @@ class TestPignistic:
         for dist in (pignistic(mass), oracle_pignistic(mass)):
             assert all(len(focal.points) == 1 for focal, _ in dist.assignments)
             points = [focal.points[0] for focal, _ in dist.assignments]
-            assert points == sorted(points) == list(mass.support())
+            assert points == sorted(points) == support(mass)
 
 
 class TestNeighborhoods:
@@ -453,6 +464,10 @@ class TestLayered:
             LayeredBelief(kind="nested", radii=(1,), weights=(HALF,))
         with pytest.raises(ValueError):
             LayeredBelief(kind="sideways", radii=(1,), weights=(Fraction(1),))
+        for weights in ((0.5, 0.5), (True,)):
+            with pytest.raises(ValueError, match="not exact"):
+                LayeredBelief(kind="nested", radii=(1, 2)[:len(weights)],
+                              weights=weights)
 
     def test_radii_are_stored_as_a_tuple_of_ints(self):
         listed = LayeredBelief(kind="nested", radii=[1, 2], weights=(HALF, HALF))
@@ -510,6 +525,9 @@ class TestProductMass:
             product_mass([[(set(), Fraction(1))]], candidates_m=3)
         with pytest.raises(ValueError):
             product_mass([[({5}, Fraction(1))]], candidates_m=3)
+        for weight in (1.0, True):
+            with pytest.raises(ValueError, match="not exact"):
+                product_mass([[({0}, weight)]], candidates_m=3)
         # 2**17 focal tuples; then one tuple of 3**11 ballot picks.
         with pytest.raises(ExpansionCapError):
             product_mass([[({0}, HALF), ({1}, HALF)]] * 17, candidates_m=3)
@@ -550,6 +568,9 @@ class TestMultinomial:
             multinomial_distribution((HALF, HALF), 0)
         with pytest.raises(ValueError):
             multinomial_distribution((HALF, HALF, HALF), 2)
+        for q in ((0.5, 0.5), (True, 0)):
+            with pytest.raises(ValueError, match="not exact"):
+                multinomial_distribution(q, 2)
         with pytest.raises(ExpansionCapError):
             multinomial_distribution((HALF, Fraction(1, 4), Fraction(1, 4)),
                                      1000)
