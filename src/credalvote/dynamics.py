@@ -22,8 +22,9 @@ from .decision import (
     evaluate_move,
 )
 from .election import (
-    BallotProfile, Preference, Score, TieBreakOrder, apply_move, tally)
-from .uncertainty import LayeredBelief, MassFunction, layered_to_mass
+    BallotProfile, Preference, Score, TieBreakOrder, apply_move, tally,
+    validate_score)
+from .uncertainty import LRU_SIZE, LayeredBelief, MassFunction, layered_to_mass
 
 CONVERGED = "converged"
 CYCLE = "cycle"
@@ -32,14 +33,7 @@ STEP_LIMIT = "step_limit"
 DEFAULT_MAX_STEPS = 10_000
 
 
-# Recentred masses, and the least centres they sit at, kept per process.
-# The bound keeps memory flat over long campaigns; a 300-seed
-# theorem1_nested campaign at n=12, m=4 still misses no more often than
-# with an unbounded cache.
-_MASS_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_MASS_CACHE_SIZE)
+@lru_cache(maxsize=LRU_SIZE)
 def _layered_mass(belief: LayeredBelief, center: Score) -> MassFunction:
     return layered_to_mass(belief, center)
 
@@ -63,7 +57,8 @@ class VoterConfig:
         """The fixed mass, or the layered belief centered on `broadcast`."""
         if isinstance(self.belief, MassFunction):
             return self.belief
-        return _layered_mass(self.belief, broadcast)
+        # Checked before the lookup, which takes True and 1.0 for 1.
+        return _layered_mass(self.belief, validate_score(tuple(broadcast)))
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,7 @@ class RunOutcome:
     cycle_length: int | None = None
 
 
-@lru_cache(maxsize=_MASS_CACHE_SIZE)
+@lru_cache(maxsize=LRU_SIZE)
 def _least_centre(broadcast: Score, radius: int) -> Score:
     """The componentwise-least score whose gaps to the top, clipped at 2R+3,
     and entries, clipped at R+1, equal the broadcast's, for R = `radius`.

@@ -368,6 +368,9 @@ def parse_scenario(text: str) -> Scenario:
         tie = TieBreakOrder.default(candidates.m)
 
     voters: list[VoterConfig | None] = []
+    # Equal beliefs are parsed once and shared. Only valid ones are kept,
+    # so every voter with an invalid belief gets errors under its own path.
+    beliefs: dict[str, LayeredBelief | MassFunction] = {}
     raw_voters = raw.get("voters")
     if not isinstance(raw_voters, list) or not raw_voters:
         errors.append("voters: expected a nonempty list")
@@ -380,7 +383,13 @@ def parse_scenario(text: str) -> Scenario:
             continue
         pref = _parse_order(rv.get("preference"), candidates, Preference,
                             f"{path}.preference", errors)
-        belief = _parse_belief(rv.get("belief"), m, f"{path}.belief", errors)
+        key = json.dumps(rv.get("belief"), sort_keys=True)
+        belief = beliefs.get(key)
+        if belief is None:
+            belief = _parse_belief(rv.get("belief"), m, f"{path}.belief",
+                                   errors)
+            if belief is not None:
+                beliefs[key] = belief
         rule = _parse_rule(rv.get("rule"), f"{path}.rule", errors)
         utility = rv.get("utility")
         if utility not in UTILITY_MODELS:

@@ -1,4 +1,6 @@
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,8 @@ from credalvote import (
     tally,
     truthful_profile,
 )
+import credalvote
+from credalvote import uncertainty
 from credalvote.dynamics import _layered_mass, _least_centre
 from credalvote.oracles import oracle_equilibrium
 from strategies import small_games
@@ -93,9 +97,36 @@ class TestTemplatesAndConfigs:
         assert config.mass_at((1, 1, 1)) != config.mass_at((2, 1, 1))
 
     def test_recentring_cache_is_bounded(self):
-        for cached in (_layered_mass, _least_centre):
-            maxsize = cached.cache_info().maxsize
-            assert maxsize is not None and 0 < maxsize < 10**6
+        assert 0 < uncertainty.LRU_SIZE < 10**6
+        for cached in (_layered_mass, _least_centre, uncertainty._ball,
+                       uncertainty._ring):
+            assert cached.cache_info().maxsize == uncertainty.LRU_SIZE
+
+    def test_every_module_lru_cache_is_bounded(self):
+        maxsizes = {}
+        for info in pkgutil.iter_modules(credalvote.__path__):
+            if info.name == "__main__":  # importing it runs the CLI
+                continue
+            module = importlib.import_module(f"credalvote.{info.name}")
+            for name, value in vars(module).items():
+                if hasattr(value, "cache_parameters"):
+                    maxsizes[f"{info.name}.{name}"] = \
+                        value.cache_parameters()["maxsize"]
+        assert {"dynamics._layered_mass", "dynamics._least_centre",
+                "uncertainty._ball", "uncertainty._ring"} <= set(maxsizes)
+        assert None not in maxsizes.values(), maxsizes
+
+    def test_mass_at_validates_a_cached_centre(self):
+        # The recentred-mass table takes True and 1.0 for 1.
+        config = VoterConfig(preference=Preference((0, 1, 2)),
+                             belief=LayeredBelief(kind=NESTED, radii=(1,),
+                                                  weights=(Fraction(1),)),
+                             rule=DecisionRule(PESSIMISTIC), utility=MEIR_SIGN)
+        config.mass_at((1, 1, 1))
+        for centre in ((True, 1, 1), (1.0, 1, 1)):
+            with pytest.raises(ValueError, match="score entries must be "
+                                                 "nonnegative integers"):
+                config.mass_at(centre)
 
     def test_voter_config_validation(self):
         belief = LayeredBelief(kind=NESTED, radii=(1,),

@@ -80,7 +80,32 @@ def voter_json(belief, rule='{"kind": "pessimistic"}', family=None):
     """
 
 
+def two_voters(first_belief, second_belief):
+    return json.dumps({
+        "format_version": 1, "candidates": ["a", "b", "c"],
+        "voters": [{"preference": pref, "belief": belief,
+                    "rule": {"kind": "pessimistic"}, "utility": "meir_sign"}
+                   for pref, belief in ((["a", "b", "c"], first_belief),
+                                        (["b", "a", "c"], second_belief))]})
+
+
 class TestParse:
+    def test_equal_beliefs_are_parsed_once(self):
+        for belief in ({"kind": "nested", "radii": [1, 2],
+                        "weights": ["1/2", "1/2"]},
+                       {"kind": "set", "focal": {"points": [[1, 0, 0]]}}):
+            reordered = dict(reversed(belief.items()))
+            voters = parse_scenario(two_voters(belief, reordered)).voters
+            assert voters[0].belief is voters[1].belief
+
+    def test_equal_invalid_beliefs_each_report(self):
+        belief = {"kind": "nested", "radii": [2, 1], "weights": ["1/2", "1/2"]}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(two_voters(belief, belief))
+        assert exc.value.errors == tuple(
+            f"voters[{i}].belief: radii must be strictly increasing"
+            for i in (0, 1))
+
     def test_minimal_defaults(self):
         scenario = parse_scenario(MINIMAL)
         assert scenario.candidates.labels == ("a", "b", "c")

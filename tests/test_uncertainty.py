@@ -12,7 +12,10 @@ from credalvote import (
     FocalElement,
     L1_ADDREMOVE,
     LayeredBelief,
+    METRICS,
     MassFunction,
+    NESTED,
+    PARTITIONED,
     VOTER_SWAP,
     layered_to_mass,
     lower_expectation,
@@ -418,7 +421,75 @@ class TestEnumeration:
             neighborhood((radius,), L1_ADDREMOVE, radius)
 
 
+@st.composite
+def layered_beliefs(draw):
+    radii = sorted(draw(st.sets(st.integers(0, 3), min_size=1, max_size=3)))
+    parts = draw(st.lists(st.integers(1, 4), min_size=len(radii),
+                          max_size=len(radii)))
+    return LayeredBelief(draw(st.sampled_from((NESTED, PARTITIONED))), radii,
+                         [Fraction(p, sum(parts)) for p in parts],
+                         draw(st.sampled_from(METRICS)))
+
+
+def fresh_layered_mass(belief, center):
+    """The layered mass from balls built afresh: a nested ball equal to the
+    one before joins its weight, a partitioned layer is the ring between
+    consecutive balls."""
+    balls = [neighborhood(center, belief.metric, r) for r in belief.radii]
+    pairs = [(balls[0], belief.weights[0])]
+    for prev, ball, w in zip(balls, balls[1:], belief.weights[1:]):
+        if belief.kind == PARTITIONED:
+            pairs.append((FocalElement.from_points(
+                set(ball.points) - set(prev.points)), w))
+        elif ball == prev:
+            pairs[-1] = (prev, pairs[-1][1] + w)
+        else:
+            pairs.append((ball, w))
+    return MassFunction(tuple(pairs))
+
+
 class TestLayered:
+    @given(layered_beliefs(),
+           st.lists(st.integers(0, 4), min_size=1, max_size=4), st.booleans())
+    @settings(max_examples=150)
+    def test_shared_balls_match_fresh_ones(self, belief, center, list_first):
+        try:
+            expected = fresh_layered_mass(belief, center)
+        except ValueError:  # an empty ring
+            expected = None
+        centers = [list(center), tuple(center)]
+        if not list_first:
+            centers.reverse()
+        uncertainty._ball.cache_clear()
+        uncertainty._ring.cache_clear()
+        for c in centers:  # the tables cold, then warm
+            if expected is None:
+                with pytest.raises(ValueError, match="ring .* is empty"):
+                    layered_to_mass(belief, c)
+            else:
+                assert layered_to_mass(belief, c) == expected
+
+    def test_beliefs_share_balls_across_weights(self):
+        wide = LayeredBelief(NESTED, (1, 2), (Fraction(2, 3), Fraction(1, 3)))
+        narrow = LayeredBelief(NESTED, (1, 3), (HALF, HALF))
+        rings = LayeredBelief(PARTITIONED, (1, 3), (Fraction(1, 3),
+                                                     Fraction(2, 3)))
+        a, b, c = (layered_to_mass(belief, center) for belief, center in (
+            (wide, (3, 1, 2)), (narrow, [3, 1, 2]), (rings, (3, 1, 2))))
+        assert a.assignments[0][0] is b.assignments[0][0]
+        assert b.assignments[0][0] is c.assignments[0][0]
+        assert c.assignments[1][0] is layered_to_mass(
+            rings, (3, 1, 2)).assignments[1][0]
+
+    def test_a_cached_centre_is_still_validated(self):
+        # The ball table takes True and 1.0 for 1.
+        belief = LayeredBelief(NESTED, (1,), (Fraction(1),))
+        layered_to_mass(belief, (1, 1, 1))
+        for center in ((True, 1, 1), (1.0, 1, 1)):
+            with pytest.raises(ValueError, match="score entries must be "
+                                                 "nonnegative integers"):
+                layered_to_mass(belief, center)
+
     def test_nested_weights_on_balls(self):
         layered = LayeredBelief(kind="nested", radii=(1, 2, 3),
                                 weights=(HALF, Fraction(3, 10), Fraction(1, 5)))
