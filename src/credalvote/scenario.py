@@ -64,6 +64,7 @@ from .uncertainty import (
     FocalElement,
     LayeredBelief,
     MassFunction,
+    _rational,
 )
 
 FORMAT_VERSION = 1
@@ -128,12 +129,10 @@ def _is_int(value) -> bool:
 
 
 def _parse_fraction(value, path: str, errors: list[str]) -> Fraction | None:
-    if _is_int(value):
-        return Fraction(value)
-    if isinstance(value, str):
+    if _is_int(value) or isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            return _rational(value)
+        except ValueError:
             errors.append(f"{path}: not a rational number: {value!r}")
             return None
     errors.append(f'{path}: rationals must be "p/q" strings or integers')

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .election import Score, validate_score
+from .election import Score, tally, validate_score
 
 DEFAULT_CAP = 100_000
 
@@ -41,11 +41,17 @@ class ExpansionCapError(ValueError):
 def _rational(value) -> Fraction:
     """An exact weight as a Fraction. Floats are refused, since their binary
     rounding can tip a criterion across zero; bools are refused as not
-    numbers."""
+    numbers; strings with an exponent are refused, since `Fraction` expands
+    one into a power of ten of any size."""
     if isinstance(value, (float, bool)):
         raise ValueError(f"{value!r} is not exact: give an int, a Fraction "
                          f"or a 'p/q' string")
-    return Fraction(value)
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"{value!r} has an exponent: give a 'p/q' string")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ class FocalElement:
         if total is not None and not (sum(lo for lo, _ in box) <= total
                                       <= sum(hi for _, hi in box)):
             raise ValueError("box with total constraint is empty")
-        return cls(tuple(_box_points(box, total)))
+        return cls(tuple(_lattice(box, total)))
 
     def __hash__(self):
         cached = getattr(self, "_hash", None)
@@ -107,32 +113,42 @@ class FocalElement:
         return cached
 
 
-def _box_points(box, total) -> list[Score]:
-    """Integer points of the box, filtered to the exact total when given."""
-    if total is None:
-        size = 1
-        for lo, hi in box:
-            size *= hi - lo + 1
-            if size > DEFAULT_CAP:
-                raise ExpansionCapError(f"box expands past cap {DEFAULT_CAP}")
-        return [tuple(p) for p in itertools.product(
-            *[range(lo, hi + 1) for lo, hi in box])]
-    # Prefixes in lexicographic order with the total they leave. A value's
-    # range keeps that total within the later intervals' least and greatest
-    # sums, so every prefix extends to a point and each layer is counted
-    # exactly before it is built.
-    layer: list[tuple[Score, int]] = [((), total)]
-    for i, (lo, hi) in enumerate(box):
-        rest_lo = sum(a for a, _ in box[i + 1:])
-        rest_hi = sum(b for _, b in box[i + 1:])
-        ranges = [range(max(lo, left - rest_hi), min(hi, left - rest_lo) + 1)
-                  for _, left in layer]
-        if sum(map(len, ranges)) > DEFAULT_CAP:
-            raise ExpansionCapError(f"box expands past cap {DEFAULT_CAP}")
-        layer = [(prefix + (v,), left - v)
-                 for (prefix, left), values in zip(layer, ranges)
-                 for v in values]
-    return [prefix for prefix, _ in layer]
+def _lattice(box, total: int | None = None, center: Score | None = None,
+             budget: int = 0) -> list[Score]:
+    """The integer points of `box` in lexicographic order, only those summing
+    to `total` if it is given, and only those within l1 distance `budget` of
+    `center`, a point of the box, if that is given.
+
+    Each prefix carries the total and the budget b it leaves. A value's
+    range keeps the prefix completable, so every layer is counted exactly,
+    as the sum of its ranges' widths in integers, before it is built. With
+    a total, the later candidates lie at least |f - v| from their centres,
+    where f is the total left less their centres' sum; so a value v around
+    centre c needs |f - v| + |v - c| <= b: v in [ceil((c+f-b)/2),
+    floor((c+f+b)/2)].
+    """
+    what = "box" if center is None else "neighborhood"
+    if center is None:
+        # Every point of the box lies this close to its least corner.
+        center = [lo for lo, _ in box]
+        budget = sum(hi - lo for lo, hi in box)
+    layer: list[tuple[Score, int, int]] = [((), total or 0, budget)]
+    for i, ((lo, hi), c) in enumerate(zip(box, center)):
+        if total is None:
+            ranges = [(max(lo, c - b), min(hi, c + b)) for _, _, b in layer]
+        else:
+            rest_lo = sum(a for a, _ in box[i + 1:])
+            rest_hi = sum(z for _, z in box[i + 1:])
+            k = c - sum(center[i + 1:])
+            ranges = [(max(lo, left - rest_hi, (left + k - b + 1) // 2),
+                       min(hi, left - rest_lo, (left + k + b) // 2))
+                      for _, left, b in layer]
+        if sum(z - a + 1 for a, z in ranges) > DEFAULT_CAP:
+            raise ExpansionCapError(f"{what} expands past cap {DEFAULT_CAP}")
+        layer = [(prefix + (v,), left - v, b - abs(v - c))
+                 for (prefix, left, b), (a, z) in zip(layer, ranges)
+                 for v in range(a, z + 1)]
+    return [prefix for prefix, _, _ in layer]
 
 
 @dataclass(frozen=True)
@@ -261,49 +277,18 @@ def neighborhood(center: Score, metric: str, radius: int) -> FocalElement:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     center = validate_score(tuple(center))
-    ball = _l1_ball if metric == L1_ADDREMOVE else _swap_ball
-    return FocalElement._trusted(ball(center, radius))
-
-
-def _l1_ball(center: Score, radius: int) -> list[Score]:
-    # Prefixes in lexicographic order with their remaining budget; every
-    # prefix extends to at least one point, so a layer past the cap means a
-    # ball past it. Each is counted before it is built, when it could pass.
-    layer: list[tuple[Score, int]] = [((), radius)]
-    for c in center:
-        if (len(layer) * (2 * radius + 1) > DEFAULT_CAP
-                and sum(b + min(c, b) + 1 for _, b in layer) > DEFAULT_CAP):
-            raise ExpansionCapError(
-                f"neighborhood expands past cap {DEFAULT_CAP}")
-        layer = [(prefix + (c + d,), budget - abs(d))
-                 for prefix, budget in layer
-                 for d in range(-min(c, budget), budget + 1)]
-    return [prefix for prefix, _ in layer]
-
-
-def _swap_ball(center: Score, radius: int) -> list[Score]:
+    if metric == L1_ADDREMOVE:
+        box = [(max(0, c - radius), c + radius) for c in center]
+        return FocalElement._trusted(_lattice(box, None, center, radius))
     # A score is within `radius` reassignments exactly when it keeps the
-    # centre's total, gives the leader no vote and gains at most `radius`
-    # votes. Prefixes in lexicographic order carry the gains still allowed
-    # and their balance, votes gained minus votes lost; each range holds
-    # just the values that leave a completable prefix, so every layer is
-    # counted exactly before it is built.
+    # centre's total, gives the leader no vote and lies within 2 * radius in
+    # l1 distance: a reassignment moves a score by at most 2, and a score
+    # that keeps the total is half its distance away, each reassignment
+    # taking a vote from a candidate below its centre value to one above.
     leader = center.index(max(center))
-    layer: list[tuple[Score, int, int]] = [((), radius, 0)]
-    for i, c in enumerate(center):
-        rest = sum(center[i + 1:])
-        # A deficit can be repaid only by a later candidate that may gain.
-        repay = len(center) - i - 1 > (leader > i)
-        ranges = [range(max(-c, -balance - (budget if repay else 0)),
-                        min(0 if i == leader else budget, rest - balance) + 1)
-                  for _, budget, balance in layer]
-        if sum(map(len, ranges)) > DEFAULT_CAP:
-            raise ExpansionCapError(
-                f"neighborhood expands past cap {DEFAULT_CAP}")
-        layer = [(prefix + (c + d,), budget - max(d, 0), balance + d)
-                 for (prefix, budget, balance), ds in zip(layer, ranges)
-                 for d in ds]
-    return [prefix for prefix, _, _ in layer]
+    box = [(0, c if i == leader else c + radius) for i, c in enumerate(center)]
+    return FocalElement._trusted(
+        _lattice(box, sum(center), center, 2 * radius))
 
 
 @lru_cache(maxsize=LRU_SIZE)
@@ -395,10 +380,7 @@ def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]
                     f"score enumeration exceeds cap {DEFAULT_CAP}")
         scores = set()
         for picks in itertools.product(*[subset for subset, _ in combo]):
-            counts = [0] * candidates_m
-            for c in picks:
-                counts[c] += 1
-            scores.add(tuple(counts))
+            scores.add(tally(picks, candidates_m))
         key = tuple(sorted(scores))
         merged[key] = merged.get(key, Fraction(0)) + weight
     return MassFunction(tuple(
@@ -417,11 +399,8 @@ def multinomial_distribution(q: Sequence[Fraction], n: int) -> MassFunction:
         raise ValueError("weights must sum to exactly 1")
     if n < 1:
         raise ValueError("need at least one voter")
-    m = len(q)
-    if math.comb(n + m - 1, m - 1) > DEFAULT_CAP:
-        raise ExpansionCapError(f"composition count exceeds cap {DEFAULT_CAP}")
     support = []
-    for s in _box_points(((0, n),) * m, n):
+    for s in _lattice(((0, n),) * len(q), n):
         prob = Fraction(math.factorial(n))
         for sx, qx in zip(s, q):
             prob *= qx ** sx / math.factorial(sx)

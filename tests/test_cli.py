@@ -242,6 +242,25 @@ class TestErrors:
             "error: voters[0].belief.focal: box expands past cap 100000\n"
             "error: voters[1].belief.focal: box expands past cap 100000\n")
 
+    def test_exponent_weight_is_refused_at_once(self, capsys, tmp_path):
+        # Read as a Fraction, this weight is a ten-million-digit power of ten.
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "candidates": ["a", "b", "c"],
+            "voters": [{"preference": ["a", "b", "c"],
+                        "belief": {"kind": "nested", "radii": [0, 1],
+                                   "weights": ["1e-10000000", "1"]},
+                        "rule": {"kind": "pessimistic"},
+                        "utility": "meir_sign"}]}))
+        for command in ("check", "simulate", "verify"):
+            start = time.perf_counter()
+            assert main([command, str(path)]) == 1
+            assert time.perf_counter() - start < 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: voters[0].belief.weights[0]: not a "
+                                    "rational number: '1e-10000000'\n")
+
     def test_a_ball_past_the_cap_while_running(self, capsys, tmp_path):
         # 120 ballots spread over six candidates: the radius-12 ball around
         # (20, ..., 20) passes the cap only once the dynamics centre it.

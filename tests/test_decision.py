@@ -103,6 +103,13 @@ class TestDecisionRule:
                 with pytest.raises(ValueError, match="not exact"):
                     DecisionRule(kind, alpha=alpha)
 
+    def test_exponent_and_zero_denominator_alphas_refused(self):
+        for alpha in ("1e0", "5E-1"):
+            with pytest.raises(ValueError, match="has an exponent"):
+                DecisionRule(HURWICZ, alpha=alpha)
+        with pytest.raises(ValueError, match="zero denominator"):
+            DecisionRule(HURWICZ, alpha="1/0")
+
     def test_move_evaluation_ordering(self):
         with pytest.raises(ValueError):
             MoveEvaluation(lower=Fraction(1), upper=Fraction(0),

@@ -183,6 +183,16 @@ class TestParse:
         assert any('rationals must be "p/q" strings or integers' in e
                    for e in exc.value.errors)
 
+    def test_exponent_rationals_rejected(self):
+        # Fraction would expand an exponent into a power of ten of any size.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(voter_json(
+                '{"kind": "nested", "radii": [1], "weights": ["1e0"]}',
+                rule='{"kind": "hurwicz", "alpha": "1e5"}'))
+        assert exc.value.errors == (
+            "voters[0].belief.weights[0]: not a rational number: '1e0'",
+            "voters[0].rule.alpha: not a rational number: '1e5'")
+
     def test_unknown_metric(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(voter_json(
@@ -309,6 +319,14 @@ class TestTrace:
         text = "\n".join(exc.value.errors)
         assert "line 1.voter" in text
         assert "line 2: invalid JSON" in text
+
+    def test_exponent_criterion_value_refused(self):
+        line = emit_trace(self.make_records()[:1])
+        assert '"criterion_value": "1/3"' in line
+        with pytest.raises(ScenarioError) as exc:
+            parse_trace(line.replace('"1/3"', '"1e0"'))
+        assert exc.value.errors == (
+            "line 1.criterion_value: not a rational number: '1e0'",)
 
     def test_deeply_nested_line(self):
         records = self.make_records()

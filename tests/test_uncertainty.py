@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from credalvote import (
     DEFAULT_CAP,
@@ -323,6 +323,18 @@ class TestNeighborhoods:
         assert ball == neighborhood((5, 5, 5), VOTER_SWAP, 10)
         assert len(ball.points) == 81
 
+    def test_bounds_past_machine_ints_hit_the_cap(self):
+        # Each layer is counted in integers, so a centre, radius or box
+        # bound past 2**63 fails at once on the cap.
+        huge = 10**30
+        for metric in METRICS:
+            with pytest.raises(ExpansionCapError,
+                               match="neighborhood expands past cap 100000"):
+                neighborhood((huge, 0, 0), metric, huge)
+        with pytest.raises(ExpansionCapError,
+                           match="box expands past cap 100000"):
+            FocalElement.from_box([(0, huge)] * 3, huge)
+
 
 def brute_box(box, total=None) -> list:
     """The box's points in lexicographic order, filtered to `total`."""
@@ -371,12 +383,16 @@ class TestEnumeration:
 
     @staticmethod
     def assert_capped(build, size, cap):
-        with mock.patch.object(uncertainty, "DEFAULT_CAP", cap):
-            if size > cap:
-                with pytest.raises(ExpansionCapError):
+        # The drawn cap, and the caps on either side of the set's size: a
+        # prefix that extends to no point would be counted at its layer, so
+        # the set would not build under a cap equal to its size.
+        for c in (cap, size, size - 1):
+            with mock.patch.object(uncertainty, "DEFAULT_CAP", c):
+                if size > c:
+                    with pytest.raises(ExpansionCapError):
+                        build()
+                else:
                     build()
-            else:
-                build()
 
     @settings(max_examples=200)
     @given(boxes(), st.integers(1, 60))
@@ -387,11 +403,22 @@ class TestEnumeration:
         self.assert_capped(lambda: FocalElement.from_box(box, total),
                            len(expected), cap)
 
-    @settings(max_examples=200)
-    @given(st.integers(1, 4).flatmap(lambda m: scores(m=m, max_votes=4)),
-           st.sampled_from((L1_ADDREMOVE, VOTER_SWAP)), st.integers(0, 3),
-           st.integers(1, 60))
-    def test_balls(self, center, metric, radius, cap):
+    # Radii up to 5 for m <= 3 reach odd and even radii at and past the one
+    # where every vote can move; the examples pin centres with zeros and
+    # with a tie at the top, whose leader is the first index.
+    @settings(max_examples=300)
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+               scores(m=m, max_votes=4), st.integers(0, 5 if m <= 3 else 3))),
+           st.sampled_from((L1_ADDREMOVE, VOTER_SWAP)), st.integers(1, 60))
+    @example(((0, 0, 0), 5), VOTER_SWAP, 1)
+    @example(((0, 4, 0), 4), VOTER_SWAP, 60)
+    @example(((3, 3, 0), 4), VOTER_SWAP, 60)
+    @example(((3, 3, 0), 5), VOTER_SWAP, 20)
+    @example(((4, 0, 4), 5), VOTER_SWAP, 60)
+    @example(((0, 2, 2), 3), VOTER_SWAP, 60)
+    @example(((2, 2, 2), 5), L1_ADDREMOVE, 60)
+    def test_balls(self, center_radius, metric, cap):
+        center, radius = center_radius
         expected = brute_ball(center, metric, radius)
         assert list(neighborhood(center, metric, radius).points) == expected
         self.assert_capped(lambda: neighborhood(center, metric, radius),
@@ -539,6 +566,12 @@ class TestLayered:
             with pytest.raises(ValueError, match="not exact"):
                 LayeredBelief(kind="nested", radii=(1, 2)[:len(weights)],
                               weights=weights)
+        for weights in (("1e0",), ("1/2", "5E-1")):
+            with pytest.raises(ValueError, match="has an exponent"):
+                LayeredBelief(kind="nested", radii=(1, 2)[:len(weights)],
+                              weights=weights)
+        with pytest.raises(ValueError, match="zero denominator"):
+            LayeredBelief(kind="nested", radii=(1,), weights=("1/0",))
 
     def test_radii_are_stored_as_a_tuple_of_ints(self):
         listed = LayeredBelief(kind="nested", radii=[1, 2], weights=(HALF, HALF))
