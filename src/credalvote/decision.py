@@ -92,6 +92,12 @@ _CACHE_SIZE = 16_384
 # keep one order, and a lookup by score alone stays cheap.
 _WINNERS: dict[tuple[int, ...], dict[Score, int]] = {}
 _PAIR_COUNTS: dict[tuple, dict[tuple[int, int], int]] = {}
+_CLASSES: dict[FocalElement, tuple[tuple[Score, int], ...]] = {}
+
+# A move takes at most one vote from a candidate and gives one to another,
+# so a candidate this far behind the top loses before and after it, while
+# one a vote closer can tie the top after it and win on the tie order.
+_CLIP = 3
 
 
 def _put(table: dict, key, value):
@@ -102,10 +108,37 @@ def _put(table: dict, key, value):
     return value
 
 
+def _classes(focal: FocalElement) -> tuple[tuple[Score, int], ...]:
+    """One (first point, size) per class of the focal element's points with
+    equal gaps to the top, clipped at _CLIP.
+
+    Every move turns the points of one class into one winner pair: the
+    winner before is the first candidate in tie order at gap 0, and the one
+    after depends only on the gaps below _CLIP. The clamp in `apply_move`
+    never changes it: a candidate with no votes that does not lead cannot
+    win either way, and one that leads is at the all-zero point, where the
+    destination wins either way.
+    """
+    classes = _CLASSES.get(focal)
+    if classes is None:
+        groups: dict[Score, list] = {}
+        for s in focal.points:
+            top = max(s)
+            gaps = tuple([min(top - x, _CLIP) for x in s])
+            group = groups.get(gaps)
+            if group is None:
+                groups[gaps] = [s, 1]
+            else:
+                group[1] += 1
+        classes = _put(_CLASSES, focal,
+                       tuple([(s, n) for s, n in groups.values()]))
+    return classes
+
+
 def _pair_counts(focal: FocalElement, frm: int, to: int,
                  tie: TieBreakOrder) -> dict[tuple[int, int], int]:
     """Counts of (winner-before, winner-after) pairs over the focal element,
-    keyed on its point set: one pass serves every voter."""
+    keyed on its point set: one pass over its classes serves every voter."""
     key = (tie.order, frm, to, focal)
     counts = _PAIR_COUNTS.get(key)
     if counts is None:
@@ -114,7 +147,7 @@ def _pair_counts(focal: FocalElement, frm: int, to: int,
         if winners is None:
             _WINNERS.clear()
             winners = _WINNERS[tie.order] = {}
-        for s in focal.points:
+        for s, n in _classes(focal):
             before = winners.get(s)
             if before is None:
                 before = _put(winners, s, plurality_winner(s, tie))
@@ -123,7 +156,7 @@ def _pair_counts(focal: FocalElement, frm: int, to: int,
             if after is None:
                 after = _put(winners, t, plurality_winner(t, tie))
             pair = (before, after)
-            counts[pair] = counts.get(pair, 0) + 1
+            counts[pair] = counts.get(pair, 0) + n
         _put(_PAIR_COUNTS, key, counts)
     return counts
 

@@ -103,7 +103,7 @@ class FocalElement:
         if total is not None and not (sum(lo for lo, _ in box) <= total
                                       <= sum(hi for _, hi in box)):
             raise ValueError("box with total constraint is empty")
-        return cls(tuple(_lattice(box, total)))
+        return cls._trusted(_lattice(box, total))
 
     def __hash__(self):
         cached = getattr(self, "_hash", None)
@@ -162,17 +162,37 @@ class MassFunction:
             raise ValueError("mass function needs at least one focal element")
         norm = tuple((focal, _rational(w)) for focal, w in self.assignments)
         object.__setattr__(self, "assignments", norm)
-        if any(w <= 0 for _, w in norm):
+        # The weights as integers over their common denominator, checked and
+        # aggregated in integers.
+        den, numerators = _over_common_denominator(w for _, w in norm)
+        if any(n <= 0 for n in numerators):
             raise ValueError("every mass weight must be positive")
-        if sum(w for _, w in norm) != 1:
+        if sum(numerators) != den:
             raise ValueError("mass weights must sum to exactly 1")
         if len({focal for focal, _ in norm}) != len(norm):
             raise ValueError("focal elements must be distinct after canonicalization")
-        # The weights as integers over their common denominator, for
-        # aggregation in integers.
-        den = math.lcm(*(w.denominator for _, w in norm))
-        object.__setattr__(self, "_scaled", (den, tuple(
-            w.numerator * (den // w.denominator) for _, w in norm)))
+        object.__setattr__(self, "_scaled", (den, numerators))
+
+    @classmethod
+    def _trusted(cls, focals: Sequence[FocalElement], den: int,
+                 numerators: Sequence[int]) -> "MassFunction":
+        """Distinct focal elements with positive integer weights over `den`
+        that sum to it."""
+        g = math.gcd(den, *numerators)
+        den, numerators = den // g, tuple(n // g for n in numerators)
+        mass = object.__new__(cls)
+        object.__setattr__(mass, "assignments", tuple(
+            (focal, Fraction(n, den)) for focal, n in zip(focals, numerators)))
+        object.__setattr__(mass, "_scaled", (den, numerators))
+        return mass
+
+
+def _over_common_denominator(
+        weights: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """Weights as (common denominator, numerators over it)."""
+    weights = tuple(weights)
+    den = math.lcm(*(w.denominator for w in weights))
+    return den, tuple(w.numerator * (den // w.denominator) for w in weights)
 
 
 @dataclass(frozen=True)
@@ -208,10 +228,14 @@ class LayeredBelief:
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(self.radii):
             raise ValueError("need one weight per radius")
-        if any(w <= 0 for w in weights):
+        # Kept as integers over their common denominator, for
+        # `layered_to_mass` to fold and pass on without checking them again.
+        den, numerators = _over_common_denominator(weights)
+        if any(n <= 0 for n in numerators):
             raise ValueError("layer weights must be positive")
-        if sum(weights) != 1:
+        if sum(numerators) != den:
             raise ValueError("layer weights must sum to exactly 1")
+        object.__setattr__(self, "_scaled", (den, numerators))
 
     @property
     def has_decreasing_weights(self) -> bool:
@@ -317,9 +341,10 @@ def layered_to_mass(belief: LayeredBelief, center: Score) -> MassFunction:
     balls and rings."""
     center = validate_score(tuple(center))
     metric, radii = belief.metric, belief.radii
+    den, numerators = belief._scaled
     focals = [_ball(center, metric, radii[0])]
-    weights = [belief.weights[0]]
-    for r_prev, r, w in zip(radii, radii[1:], belief.weights[1:]):
+    weights = [numerators[0]]
+    for r_prev, r, w in zip(radii, radii[1:], numerators[1:]):
         if belief.kind == NESTED:
             ball = _ball(center, metric, r)
             # A ball contains the one before it, so one of the same size is
@@ -332,7 +357,7 @@ def layered_to_mass(belief: LayeredBelief, center: Score) -> MassFunction:
         else:
             focals.append(_ring(center, metric, r_prev, r))
         weights.append(w)
-    return MassFunction(tuple(zip(focals, weights)))
+    return MassFunction._trusted(focals, den, weights)
 
 
 def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]]],

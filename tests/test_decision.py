@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from credalvote import (
     CARDINAL_RANK,
@@ -45,11 +45,11 @@ from credalvote import (
     upper_expectation,
 )
 from credalvote import decision
-from credalvote.decision import _PAIR_COUNTS, _WINNERS, _pair_counts
+from credalvote.decision import _CLASSES, _PAIR_COUNTS, _WINNERS, _pair_counts
 from credalvote.dynamics import _least_centre
 from credalvote.oracles import raw_move_utility
 from credalvote.uncertainty import ExpansionCapError
-from strategies import mass_functions, preferences, tie_orders
+from strategies import mass_functions, preferences, scores, tie_orders
 
 HALF = Fraction(1, 2)
 TIE3 = TieBreakOrder.default(3)
@@ -357,18 +357,59 @@ class TestPairCountCache:
         def short_campaign():
             _PAIR_COUNTS.clear()
             _WINNERS.clear()
+            _CLASSES.clear()
             return campaign(
                 lambda seed: family_setup(seed, THEOREM1_NESTED, 5, 4), 6)
 
         def sizes():
-            return len(_PAIR_COUNTS), sum(map(len, _WINNERS.values()))
+            return (len(_PAIR_COUNTS), sum(map(len, _WINNERS.values())),
+                    len(_CLASSES))
 
         unbounded = short_campaign()
-        assert min(sizes()) > 40
-        monkeypatch.setattr(decision, "_CACHE_SIZE", 40)
+        assert min(sizes()) > 10
+        monkeypatch.setattr(decision, "_CACHE_SIZE", 10)
         assert short_campaign() == unbounded
-        assert max(sizes()) <= 40
+        assert max(sizes()) <= 10
         assert len(_WINNERS) == 1  # one tie order at a time
+
+
+@st.composite
+def focal_elements_and_ties(draw):
+    """A focal element over 3 to 6 candidates, with zeros, ties at the top
+    and at times the all-zero point, and a tie order."""
+    m = draw(st.integers(3, 6))
+    points = draw(st.lists(scores(m, max_votes=4), min_size=1, max_size=12))
+    for s in draw(st.lists(scores(m, max_votes=4), max_size=3)):
+        # Raise a second entry to the top.
+        i, j = draw(st.permutations(range(m)))[:2]
+        s = list(s)
+        s[j] = s[i] = max(s)
+        points.append(tuple(s))
+    if draw(st.booleans()):
+        points.append((0,) * m)
+    return FocalElement.from_points(points), draw(tie_orders(m))
+
+
+class TestGapClasses:
+    """Pair counts taken once per class of points with equal gaps to the
+    top, clipped at 3, equal the counts taken point by point."""
+
+    @given(focal_elements_and_ties())
+    @settings(max_examples=300)
+    # Clipped at 2, (2, 0, 0) and (3, 0, 0) would share a class, yet the
+    # move 0 -> 1 lets candidate 1 tie and win only from (2, 0, 0).
+    @example((FocalElement.from_points([(0, 0, 0), (2, 0, 0), (3, 0, 0)]),
+              TieBreakOrder((1, 0, 2))))
+    def test_classes_count_as_the_points(self, game):
+        focal, tie = game
+        _PAIR_COUNTS.clear()  # so that a failure replays on its own
+        _CLASSES.clear()
+        m = len(tie.order)
+        for frm, to in itertools.product(range(m), repeat=2):
+            fresh = Counter((plurality_winner(s, tie),
+                             plurality_winner(apply_move(s, frm, to), tie))
+                            for s in focal.points)
+            assert _pair_counts(focal, frm, to, tie) == fresh, (frm, to)
 
 
 @st.composite

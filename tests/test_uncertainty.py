@@ -394,6 +394,15 @@ class TestEnumeration:
                 else:
                     build()
 
+    @given(boxes())
+    def test_box_equals_points_of_brute_box(self, box_total):
+        box, total = box_total
+        for t in (None, total):
+            focal = FocalElement.from_box(box, t)
+            expected = FocalElement.from_points(brute_box(box, t))
+            assert focal == expected
+            assert hash(focal) == hash(expected)
+
     @settings(max_examples=200)
     @given(boxes(), st.integers(1, 60))
     def test_boxes(self, box_total, cap):
@@ -494,7 +503,9 @@ class TestLayered:
                 with pytest.raises(ValueError, match="ring .* is empty"):
                     layered_to_mass(belief, c)
             else:
-                assert layered_to_mass(belief, c) == expected
+                mass = layered_to_mass(belief, c)
+                assert mass == expected
+                assert mass._scaled == expected._scaled
 
     def test_beliefs_share_balls_across_weights(self):
         wide = LayeredBelief(NESTED, (1, 2), (Fraction(2, 3), Fraction(1, 3)))
