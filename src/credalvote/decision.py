@@ -81,6 +81,20 @@ class MoveEvaluation:
         if self.lower > self.upper:
             raise ValueError("lower expectation exceeds upper expectation")
 
+    @classmethod
+    def _trusted(cls, lower: Fraction, upper: Fraction,
+                 pignistic_value: Fraction | None, criterion_value: Fraction,
+                 verdict: str) -> "MoveEvaluation":
+        """A record whose lower is known not to exceed its upper."""
+        # Filled through its __dict__: the frozen fields' setattr and the
+        # Fraction comparison cost more than the rest of a cheap evaluation.
+        record = object.__new__(cls)
+        record.__dict__.update(lower=lower, upper=upper,
+                               pignistic_value=pignistic_value,
+                               criterion_value=criterion_value,
+                               verdict=verdict)
+        return record
+
 
 # Entries kept in each table below. A full table is emptied: that costs
 # O(1) per entry stored, and the tables stay plain dicts, which the garbage
@@ -161,35 +175,34 @@ def _pair_counts(focal: FocalElement, frm: int, to: int,
     return counts
 
 
-def _pair_value(model: str, pref: Preference, to: int,
-                pair: tuple[int, int]) -> int:
-    """Utility of a move to `to` that turns winner `before` into `after`.
+def _focal_stats(focal: FocalElement, model: str, rank: Sequence[int],
+                 frm: int, to: int,
+                 tie: TieBreakOrder) -> tuple[int, int, int, int]:
+    """(min, max, sum, count) of the move utility over one focal element,
+    for a voter whose candidate c sits at position rank[c] of their order.
 
-    meir_sign: +1/0/-1 as the new winner is better, unchanged, or worse for
-    the voter. direct_best_response: +1 only when the improved winner is the
-    destination itself; other improvements count 0. cardinal_rank: the old
-    winner's rank minus the new one's.
+    A move to `to` that turns winner `before` into `after` is worth, by
+    model: meir_sign: +1/0/-1 as the new winner is better, unchanged, or
+    worse for the voter, the sign of rank[before] - rank[after].
+    direct_best_response: the same, except that an improvement counts only
+    when the new winner is the destination itself; other improvements count
+    0. cardinal_rank: rank[before] - rank[after] itself.
     """
-    before, after = pair
-    if model == CARDINAL_RANK:
-        return pref.rank_of(before) - pref.rank_of(after)
-    if after == before:
-        return 0
-    if pref.prefers(after, before):
-        if model == DIRECT_BEST_RESPONSE and after != to:
-            return 0
-        return 1
-    return -1
-
-
-def _focal_stats(focal: FocalElement, model: str, pref: Preference, frm: int,
-                 to: int, tie: TieBreakOrder) -> tuple[int, int, int, int]:
-    """(min, max, sum, count) of the move utility over one focal element."""
-    counts = _pair_counts(focal, frm, to, tie)
-    values = [_pair_value(model, pref, to, pair) for pair in counts]
-    return (min(values), max(values),
-            sum(v * c for v, c in zip(values, counts.values())),
-            sum(counts.values()))
+    # Every value lies within m - 1 of zero.
+    lo, hi, total, n = len(rank), -len(rank), 0, 0
+    for (before, after), count in _pair_counts(focal, frm, to, tie).items():
+        v = rank[before] - rank[after]
+        if model == MEIR_SIGN:
+            v = (v > 0) - (v < 0)
+        elif model == DIRECT_BEST_RESPONSE:
+            v = -1 if v < 0 else 1 if v > 0 and after == to else 0
+        if v < lo:
+            lo = v
+        if v > hi:
+            hi = v
+        total += v * count
+        n += count
+    return lo, hi, total, n
 
 
 def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
@@ -198,7 +211,7 @@ def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
     """Aggregate the move's utility over the belief and apply the rule.
 
     Sums run in integers over the weights' common denominator; each reported
-    value is one Fraction.
+    value is one Fraction, and lower <= upper holds by construction.
     """
     if model not in UTILITY_MODELS:
         raise ValueError(f"unknown utility model {model!r}")
@@ -207,8 +220,9 @@ def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
     # The pignistic sum is pig / (den * pig_den).
     pig, pig_den = 0, 1
     want_pig = rule.kind in (PIGNISTIC, MIXTURE)
+    rank = voter_pref._rank
     for (focal, _), w in zip(mass.assignments, numerators):
-        lo, hi, total, n = _focal_stats(focal, model, voter_pref, frm, to, tie)
+        lo, hi, total, n = _focal_stats(focal, model, rank, frm, to, tie)
         lower += w * lo
         upper += w * hi
         if want_pig:
@@ -234,9 +248,8 @@ def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
                 value = Fraction(num, b * den)
         verdict = (STRICTLY_PREFERRED if num > 0 else
                    WEAKLY_PREFERRED if num == 0 else NOT_PREFERRED)
-    return MoveEvaluation(lower=lower_f, upper=Fraction(upper, den),
-                          pignistic_value=pig_f, criterion_value=value,
-                          verdict=verdict)
+    return MoveEvaluation._trusted(lower_f, Fraction(upper, den), pig_f,
+                                   value, verdict)
 
 
 def dominating_manipulation(voter_pref: Preference,

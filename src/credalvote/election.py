@@ -50,23 +50,31 @@ class TieBreakOrder:
 
 @dataclass(frozen=True)
 class Preference:
-    """A voter's strict linear order over candidate indices, best first."""
+    """A voter's strict linear order over candidate indices, best first.
+
+    It also holds each candidate's position in the order as the private
+    `_rank`; that is not a field, so equality, hashing and repr ignore it.
+    """
 
     ranking: tuple[int, ...]
 
     def __post_init__(self):
         if sorted(self.ranking) != list(range(len(self.ranking))):
             raise ValueError("ranking must be a permutation of 0..m-1")
+        rank = [0] * len(self.ranking)
+        for position, candidate in enumerate(self.ranking):
+            rank[candidate] = position
+        object.__setattr__(self, "_rank", tuple(rank))
 
     @property
     def top(self) -> int:
         return self.ranking[0]
 
     def rank_of(self, candidate: int) -> int:
-        return self.ranking.index(candidate)
-
-    def prefers(self, x: int, y: int) -> bool:
-        return self.ranking.index(x) < self.ranking.index(y)
+        # Checked, since a negative index would read the table from its end.
+        if not 0 <= candidate < len(self._rank):
+            raise ValueError(f"{candidate!r} is not a candidate index")
+        return self._rank[candidate]
 
 
 @dataclass(frozen=True)

@@ -367,9 +367,11 @@ def parse_scenario(text: str) -> Scenario:
         tie = TieBreakOrder.default(candidates.m)
 
     voters: list[VoterConfig | None] = []
-    # Equal beliefs are parsed once and shared. Only valid ones are kept,
-    # so every voter with an invalid belief gets errors under its own path.
+    # Equal beliefs and equal preferences are parsed once and shared. Only
+    # valid ones are kept, so every voter with an invalid one gets errors
+    # under its own path.
     beliefs: dict[str, LayeredBelief | MassFunction] = {}
+    prefs: dict[tuple[str, ...], Preference] = {}
     raw_voters = raw.get("voters")
     if not isinstance(raw_voters, list) or not raw_voters:
         errors.append("voters: expected a nonempty list")
@@ -380,8 +382,16 @@ def parse_scenario(text: str) -> Scenario:
             errors.append(f"{path}: expected an object")
             voters.append(None)
             continue
-        pref = _parse_order(rv.get("preference"), candidates, Preference,
-                            f"{path}.preference", errors)
+        raw_pref = rv.get("preference")
+        # A valid preference is a list of labels, so only those are looked up.
+        pref_key = (tuple(raw_pref) if isinstance(raw_pref, list)
+                    and all(isinstance(x, str) for x in raw_pref) else None)
+        pref = prefs.get(pref_key)
+        if pref is None:
+            pref = _parse_order(raw_pref, candidates, Preference,
+                                f"{path}.preference", errors)
+            if pref is not None:
+                prefs[pref_key] = pref
         key = json.dumps(rv.get("belief"), sort_keys=True)
         belief = beliefs.get(key)
         if belief is None:
@@ -600,12 +610,6 @@ def fixture_text(name: str) -> str:
     return (files("credalvote") / "fixtures" / name).read_text()
 
 
-def _decreasing_weights(rng: random.Random, layers: int) -> tuple[Fraction, ...]:
-    parts = sorted((rng.randint(1, 6) for _ in range(layers)), reverse=True)
-    total = sum(parts)
-    return tuple(Fraction(p, total) for p in parts)
-
-
 def generate_instance(seed: int, n: int, m: int, family: str) -> Scenario:
     """A deterministic random scenario: uniform preferences, truthful starts.
 
@@ -613,7 +617,8 @@ def generate_instance(seed: int, n: int, m: int, family: str) -> Scenario:
     weights and the pessimistic rule. theorem2_hurwicz: nested decreasing
     layers with a Hurwicz rule, alpha above one half. pignistic_uniform: one
     radius-1 layer under the pignistic rule. meir_r0: radius-0 singleton
-    beliefs, pessimistic, direct best response.
+    beliefs, pessimistic, direct best response. Every belief is valid by
+    construction, so none is checked again.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -635,19 +640,19 @@ def generate_instance(seed: int, n: int, m: int, family: str) -> Scenario:
             kind = PARTITIONED if family == THEOREM1_PARTITIONED else NESTED
             layers = rng.randint(1, 3)
             radii = tuple(sorted(rng.sample([1, 2, 3], layers)))
-            belief = LayeredBelief(kind=kind, radii=radii,
-                                   weights=_decreasing_weights(rng, layers))
+            # Decreasing weights: integer parts, largest first, over their sum.
+            parts = sorted((rng.randint(1, 6) for _ in range(layers)),
+                           reverse=True)
+            belief = LayeredBelief._trusted(kind, radii, parts)
             rule = (DecisionRule(HURWICZ, alpha=rng.choice(HURWICZ_ALPHAS))
                     if family == THEOREM2_HURWICZ else DecisionRule(PESSIMISTIC))
             utility = MEIR_SIGN
         elif family == PIGNISTIC_UNIFORM:
-            belief = LayeredBelief(kind=NESTED, radii=(1,),
-                                   weights=(Fraction(1),))
+            belief = LayeredBelief._trusted(NESTED, (1,), (1,))
             rule = DecisionRule(PIGNISTIC)
             utility = MEIR_SIGN
         else:
-            belief = LayeredBelief(kind=NESTED, radii=(0,),
-                                   weights=(Fraction(1),))
+            belief = LayeredBelief._trusted(NESTED, (0,), (1,))
             rule = DecisionRule(PESSIMISTIC)
             utility = DIRECT_BEST_RESPONSE
         voters.append(VoterConfig(preference=pref, belief=belief, rule=rule,

@@ -237,6 +237,36 @@ class LayeredBelief:
             raise ValueError("layer weights must sum to exactly 1")
         object.__setattr__(self, "_scaled", (den, numerators))
 
+    @classmethod
+    def _trusted(cls, kind: str, radii: tuple[int, ...],
+                 parts: Sequence[int]) -> "LayeredBelief":
+        """An l1_addremove belief of a valid `kind` on strictly increasing
+        nonnegative integer `radii`, weighted by positive integer `parts`
+        over their sum."""
+        total = sum(parts)
+        g = math.gcd(total, *parts)
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "kind", kind)
+        object.__setattr__(belief, "radii", radii)
+        object.__setattr__(belief, "weights",
+                           tuple(Fraction(p, total) for p in parts))
+        object.__setattr__(belief, "metric", L1_ADDREMOVE)
+        # What __post_init__ stores: the weights' least common denominator
+        # is total // g.
+        object.__setattr__(belief, "_scaled",
+                           (total // g, tuple(p // g for p in parts)))
+        return belief
+
+    def __hash__(self):
+        # Equal beliefs have equal radii and integer weights. Hashing only
+        # those ints skips a Python-level Fraction hash per weight, and
+        # gives the same value in every process.
+        cached = getattr(self, "_hash", None)
+        if cached is None:
+            cached = hash((self.radii, self._scaled))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     @property
     def has_decreasing_weights(self) -> bool:
         return all(a >= b for a, b in zip(self.weights, self.weights[1:]))

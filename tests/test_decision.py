@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -49,7 +50,8 @@ from credalvote.decision import _CLASSES, _PAIR_COUNTS, _WINNERS, _pair_counts
 from credalvote.dynamics import _least_centre
 from credalvote.oracles import raw_move_utility
 from credalvote.uncertainty import ExpansionCapError
-from strategies import mass_functions, preferences, scores, tie_orders
+from strategies import (
+    decision_rules, mass_functions, preferences, scores, tie_orders)
 
 HALF = Fraction(1, 2)
 TIE3 = TieBreakOrder.default(3)
@@ -111,10 +113,23 @@ class TestDecisionRule:
             DecisionRule(HURWICZ, alpha="1/0")
 
     def test_move_evaluation_ordering(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lower expectation exceeds"):
             MoveEvaluation(lower=Fraction(1), upper=Fraction(0),
                            pignistic_value=None, criterion_value=Fraction(0),
                            verdict=WEAKLY_PREFERRED)
+
+    @given(mass_functions(), preferences(), st.integers(0, 2),
+           st.integers(0, 2), tie_orders(), st.sampled_from(UTILITY_MODELS),
+           decision_rules())
+    def test_trusted_record_equals_public_one(self, mass, pref, frm, to, tie,
+                                              model, rule):
+        # `evaluate_move` builds its record without the ordering check.
+        out = evaluate_move(mass, rule, model, pref, frm, to, tie)
+        public = MoveEvaluation(out.lower, out.upper, out.pignistic_value,
+                                out.criterion_value, out.verdict)
+        assert out == public and hash(out) == hash(public)
+        assert repr(out) == repr(public)
+        assert MoveEvaluation._trusted(*astuple(public)) == public
 
 
 class TestMoveUtility:

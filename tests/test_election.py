@@ -51,7 +51,25 @@ def test_preference_validation():
     pref = Preference((2, 0, 1))
     assert pref.top == 2
     assert pref.rank_of(1) == 2
-    assert pref.prefers(2, 0) and not pref.prefers(0, 2)
+    assert pref.rank_of(2) < pref.rank_of(0)
+
+
+@given(st.integers(3, 6).flatmap(preferences))
+def test_rank_positions_invert_the_ranking(pref):
+    assert [pref.ranking[r] for r in pref._rank] == list(range(len(pref._rank)))
+    assert all(pref.rank_of(c) == i for i, c in enumerate(pref.ranking))
+    # The positions are no field: equality, hashing and repr ignore them.
+    twin = Preference(pref.ranking)
+    object.__setattr__(twin, "_rank", ())
+    assert twin == pref and hash(twin) == hash(pref)
+    assert repr(pref) == f"Preference(ranking={pref.ranking!r})"
+
+
+def test_rank_of_refuses_a_non_candidate():
+    pref = Preference((2, 0, 1))
+    for candidate in (-1, 3):
+        with pytest.raises(ValueError, match="not a candidate index"):
+            pref.rank_of(candidate)
 
 
 def test_partial_preference_rejects_cycles():
@@ -60,7 +78,7 @@ def test_partial_preference_rejects_cycles():
     partial = PartialPreference([(0, 1), (1, 2)])
     extensions = linear_extensions(partial, ABC)
     assert extensions
-    assert all(p.prefers(0, 2) for p in extensions)
+    assert all(p.rank_of(0) < p.rank_of(2) for p in extensions)
 
 
 def test_partial_preference_refuses_non_integers():
@@ -171,4 +189,4 @@ def test_possible_tops_match_extensions(partial):
 def test_extensions_respect_required_pairs(partial):
     for p in linear_extensions(partial, ABC):
         for x, y in partial.pairs:
-            assert p.prefers(x, y)
+            assert p.rank_of(x) < p.rank_of(y)

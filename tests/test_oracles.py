@@ -1,13 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from credalvote import (
+    CARDINAL_RANK,
+    DIRECT_BEST_RESPONSE,
     DecisionRule,
     FocalElement,
     HURWICZ,
     MassFunction,
+    PESSIMISTIC,
     PartialPreference,
     Preference,
     TieBreakOrder,
@@ -42,6 +45,16 @@ from strategies import (
 )
 
 
+@st.composite
+def moves(draw):
+    """(mass, preference, frm, to, tie) at 3 to 6 candidates; frm may equal
+    to."""
+    m = draw(st.integers(3, 6))
+    return (draw(mass_functions(m=m)), draw(preferences(m)),
+            draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)),
+            draw(tie_orders(m)))
+
+
 class TestExpectationOracles:
     @given(mass_and_utility())
     def test_lower_and_upper_match_selection_scan(self, mass_u):
@@ -65,14 +78,25 @@ class TestExpectationOracles:
         assert out.lower == oracle_lower_expectation(mass, u)
         assert out.upper == oracle_upper_expectation(mass, u)
 
-    @given(mass_functions(), preferences(), st.integers(0, 2),
-           st.integers(0, 2), tie_orders(), st.sampled_from(UTILITY_MODELS),
-           decision_rules())
-    def test_move_evaluation_matches_point_scan(self, mass, pref, frm, to,
-                                                tie, model, rule):
+    @settings(max_examples=300, deadline=None)
+    @given(moves(), st.sampled_from(UTILITY_MODELS), decision_rules())
+    # cardinal_rank at +(m - 1): the voter's last choice loses to their
+    # first. direct_best_response: the improved winner is not the
+    # destination, so the move counts 0.
+    @example((MassFunction(((FocalElement.from_points([(0, 0, 0, 0, 0, 1)]),
+                             Fraction(1)),)),
+              Preference(tuple(range(6))), 5, 0, TieBreakOrder.default(6)),
+             CARDINAL_RANK, DecisionRule(PESSIMISTIC))
+    @example((MassFunction(((FocalElement.from_points([(1, 0, 0, 0, 0, 2)]),
+                             Fraction(1)),)),
+              Preference(tuple(range(6))), 5, 2, TieBreakOrder.default(6)),
+             DIRECT_BEST_RESPONSE, DecisionRule(PESSIMISTIC))
+    def test_move_evaluation_matches_point_scan(self, move, model, rule):
         """All five fields of `evaluate_move`, for every rule of Denoeux,
         "Decision-making with belief functions: a review" (IJAR 2019),
-        equal the per-point oracle that `verify` runs."""
+        equal the per-point oracle that `verify` runs, at 3 to 6
+        candidates, where cardinal_rank reaches +-(m - 1)."""
+        mass, pref, frm, to, tie = move
         config = VoterConfig(preference=pref, belief=mass, rule=rule,
                              utility=model)
         assert evaluate_move(mass, rule, model, pref, frm, to, tie) == \

@@ -41,8 +41,8 @@ def locally_dominates(pref, states, frm, to, tie):
     better one in some state."""
     pairs = [(plurality_winner(_plus_one(s, to), tie),
               plurality_winner(_plus_one(s, frm), tie)) for s in states]
-    return (all(a == b or pref.prefers(a, b) for a, b in pairs)
-            and any(a != b and pref.prefers(a, b) for a, b in pairs))
+    return (all(pref.rank_of(a) <= pref.rank_of(b) for a, b in pairs)
+            and any(pref.rank_of(a) < pref.rank_of(b) for a, b in pairs))
 
 
 @st.composite

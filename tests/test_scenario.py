@@ -106,6 +106,33 @@ class TestParse:
             f"voters[{i}].belief: radii must be strictly increasing"
             for i in (0, 1))
 
+    def test_equal_preferences_are_parsed_once(self):
+        pref = ["b", "a", "c"]
+        text = json.dumps({
+            "format_version": 1, "candidates": ["a", "b", "c"],
+            "voters": [{"preference": list(pref),
+                        "belief": {"kind": "nested", "radii": [1],
+                                   "weights": ["1"]},
+                        "rule": {"kind": "pessimistic"},
+                        "utility": "meir_sign"}] * 3})
+        voters = parse_scenario(text).voters
+        assert voters[0].preference is voters[1].preference
+        assert voters[2].preference is voters[0].preference
+        assert voters[0].preference.ranking == (1, 0, 2)
+
+    def test_equal_invalid_preferences_each_report(self):
+        text = json.loads(PARTIAL_PREFERENCE)
+        text["voters"].append(dict(text["voters"][1]))
+        # A string of labels is no list of labels, even when a valid
+        # preference with those letters was parsed before it.
+        text["voters"].append(dict(text["voters"][0], preference="dcba"))
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(text))
+        assert exc.value.errors == (
+            "voters[1].preference: expected 4 labels, got 3",
+            "voters[2].preference: expected 4 labels, got 3",
+            "voters[3].preference: expected a list of candidate labels")
+
     def test_minimal_defaults(self):
         scenario = parse_scenario(MINIMAL)
         assert scenario.candidates.labels == ("a", "b", "c")
@@ -367,6 +394,21 @@ class TestGeneration:
         assert all(alpha > Fraction(1, 2) for alpha in HURWICZ_ALPHAS)
         scenario = generate_instance(5, n=6, m=3, family=THEOREM2_HURWICZ)
         assert all(v.rule.alpha in HURWICZ_ALPHAS for v in scenario.voters)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_beliefs_equal_publicly_built_ones(self, family):
+        # Generated beliefs skip the weight checks; each must still equal,
+        # and hash as, the belief the public constructor builds.
+        for seed in range(6):
+            for voter in generate_instance(seed, n=6, m=4,
+                                           family=family).voters:
+                belief = voter.belief
+                public = LayeredBelief(belief.kind, belief.radii,
+                                       belief.weights, belief.metric)
+                assert belief == public
+                assert hash(belief) == hash(public)
+                assert belief._scaled == public._scaled
+                assert all(type(w) is Fraction for w in belief.weights)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -584,6 +584,17 @@ class TestLayered:
         with pytest.raises(ValueError, match="zero denominator"):
             LayeredBelief(kind="nested", radii=(1,), weights=("1/0",))
 
+    @given(layered_beliefs())
+    def test_hash_agrees_with_equality(self, belief):
+        # The hash is taken once, over the weights as integers.
+        twin = LayeredBelief(belief.kind, list(belief.radii),
+                             [str(w) for w in belief.weights], belief.metric)
+        assert twin == belief
+        assert hash(twin) == hash(belief) == hash(belief)
+        other = next(m for m in METRICS if m != belief.metric)
+        assert LayeredBelief(belief.kind, belief.radii, belief.weights,
+                             other) != belief
+
     def test_radii_are_stored_as_a_tuple_of_ints(self):
         listed = LayeredBelief(kind="nested", radii=[1, 2], weights=(HALF, HALF))
         assert listed.radii == (1, 2) and type(listed.radii) is tuple
