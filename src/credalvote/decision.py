@@ -82,18 +82,40 @@ class MoveEvaluation:
             raise ValueError("lower expectation exceeds upper expectation")
 
     @classmethod
-    def _trusted(cls, lower: Fraction, upper: Fraction,
-                 pignistic_value: Fraction | None, criterion_value: Fraction,
-                 verdict: str) -> "MoveEvaluation":
-        """A record whose lower is known not to exceed its upper."""
-        # Filled through its __dict__: the frozen fields' setattr and the
-        # Fraction comparison cost more than the rest of a cheap evaluation.
+    def _trusted(cls, verdict: str, lower: int, upper: int, den: int,
+                 pig: int | None, pig_den: int, num: int,
+                 num_den: int) -> "MoveEvaluation":
+        """A record of lower / den <= upper / den, pignistic value
+        pig / (den * pig_den) (None when pig is None) and criterion value
+        num / num_den, whose Fractions are built when first read."""
+        # Only a strict verdict's criterion value is ever read in a run, so
+        # the value fields stay out of the __dict__ until __getattr__ fills
+        # them; the public constructor's check holds by construction.
         record = object.__new__(cls)
-        record.__dict__.update(lower=lower, upper=upper,
-                               pignistic_value=pignistic_value,
-                               criterion_value=criterion_value,
-                               verdict=verdict)
+        record.__dict__.update(verdict=verdict, _parts=(
+            lower, upper, den, pig, pig_den, num, num_den))
         return record
+
+    def __getattr__(self, name: str):
+        # Reached only for names missing from the __dict__.
+        parts = self.__dict__.get("_parts")
+        if parts is None or name not in _LAZY_FIELDS:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        lower, upper, den, pig, pig_den, num, num_den = parts
+        if name == "lower":
+            value = Fraction(lower, den)
+        elif name == "upper":
+            value = Fraction(upper, den)
+        elif name == "pignistic_value":
+            value = None if pig is None else Fraction(pig, den * pig_den)
+        else:
+            value = Fraction(num, num_den)
+        self.__dict__[name] = value
+        return value
+
+
+_LAZY_FIELDS = ("lower", "upper", "pignistic_value", "criterion_value")
 
 
 # Entries kept in each table below. A full table is emptied: that costs
@@ -210,8 +232,9 @@ def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
                   tie: TieBreakOrder) -> MoveEvaluation:
     """Aggregate the move's utility over the belief and apply the rule.
 
-    Sums run in integers over the weights' common denominator; each reported
-    value is one Fraction, and lower <= upper holds by construction.
+    Sums run in integers over the weights' common denominator, and the
+    verdict is read from their signs; each reported value becomes one
+    Fraction when first read, and lower <= upper holds by construction.
     """
     if model not in UTILITY_MODELS:
         raise ValueError(f"unknown utility model {model!r}")
@@ -229,27 +252,26 @@ def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
             pig = pig * n + w * total * pig_den
             pig_den *= n
 
-    lower_f = Fraction(lower, den)
-    pig_f = Fraction(pig, den * pig_den) if want_pig else None
     if rule.kind == PESSIMISTIC:
-        value = lower_f
+        num, num_den = lower, den
         verdict = (NOT_PREFERRED if lower < 0 else
                    STRICTLY_PREFERRED if upper > 0 else WEAKLY_PREFERRED)
     else:
         if rule.kind == PIGNISTIC:
-            num, value = pig, pig_f
+            num, num_den = pig, den * pig_den
         else:
             a, b = rule.alpha.numerator, rule.alpha.denominator
             if rule.kind == MIXTURE:
                 num = a * lower * pig_den + (b - a) * pig
-                value = Fraction(num, b * den * pig_den)
+                num_den = b * den * pig_den
             else:
                 num = a * lower + (b - a) * upper
-                value = Fraction(num, b * den)
+                num_den = b * den
         verdict = (STRICTLY_PREFERRED if num > 0 else
                    WEAKLY_PREFERRED if num == 0 else NOT_PREFERRED)
-    return MoveEvaluation._trusted(lower_f, Fraction(upper, den), pig_f,
-                                   value, verdict)
+    return MoveEvaluation._trusted(verdict, lower, upper, den,
+                                   pig if want_pig else None, pig_den, num,
+                                   num_den)
 
 
 def dominating_manipulation(voter_pref: Preference,

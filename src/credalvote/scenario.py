@@ -84,6 +84,21 @@ _THEOREM_FAMILIES = (THEOREM1_NESTED, THEOREM1_PARTITIONED, THEOREM2_HURWICZ)
 
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
+# The fields each object inside the scenario may carry; any other key is
+# reported as unknown.
+_VOTER_FIELDS = frozenset({"preference", "belief", "rule", "utility"})
+_RULE_FIELDS = frozenset({"kind", "alpha"})
+_LAYERED_FIELDS = frozenset({"kind", "metric", "radii", "weights"})
+_BELIEF_FIELDS = {NESTED: _LAYERED_FIELDS, PARTITIONED: _LAYERED_FIELDS,
+                  "fixed_mass": frozenset({"kind", "assignments"}),
+                  "set": frozenset({"kind", "focal"}),
+                  "probability": frozenset({"kind", "support"})}
+_ASSIGNMENT_FIELDS = frozenset({"focal", "weight"})
+_SUPPORT_FIELDS = frozenset({"score", "prob"})
+_POINTS_FIELDS = frozenset({"points"})
+_BOX_FIELDS = frozenset({"box", "total"})
+_SCHEDULER_FIELDS = frozenset({"max_steps"})
+
 HURWICZ_ALPHAS = (Fraction(51, 100), Fraction(2, 3), Fraction(9, 10),
                   Fraction(1))
 
@@ -128,6 +143,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _unknown_fields(raw: dict, known: frozenset[str], path: str,
+                    errors: list[str]) -> bool:
+    """Report each key of `raw` outside `known`; True when there is one."""
+    if raw.keys() <= known:
+        return False
+    for key in sorted(raw.keys() - known):
+        errors.append(f"{path}.{key}: unknown field")
+    return True
+
+
 def _parse_fraction(value, path: str, errors: list[str]) -> Fraction | None:
     if _is_int(value) or isinstance(value, str):
         try:
@@ -161,6 +186,9 @@ def _parse_focal(raw, m: int | None, path: str,
     has_box = "box" in raw
     if has_points == has_box:
         errors.append(f"{path}: needs exactly one of points or box")
+        return None
+    if _unknown_fields(raw, _POINTS_FIELDS if has_points else _BOX_FIELDS,
+                       path, errors):
         return None
     try:
         if has_points:
@@ -198,6 +226,9 @@ def _parse_belief(raw, m: int | None, path: str,
         errors.append(f"{path}: expected an object")
         return None
     kind = raw.get("kind")
+    known = _BELIEF_FIELDS.get(kind)
+    if known is not None and _unknown_fields(raw, known, path, errors):
+        return None
     if kind in (NESTED, PARTITIONED):
         metric = raw.get("metric", L1_ADDREMOVE)
         if metric not in METRICS:
@@ -234,6 +265,8 @@ def _parse_belief(raw, m: int | None, path: str,
             if not isinstance(entry, dict):
                 errors.append(f"{sub}: expected an object")
                 return None
+            if _unknown_fields(entry, _ASSIGNMENT_FIELDS, sub, errors):
+                return None
             focal = _parse_focal(entry.get("focal"), m, f"{sub}.focal", errors)
             weight = _parse_fraction(entry.get("weight"), f"{sub}.weight", errors)
             if focal is None or weight is None:
@@ -255,6 +288,8 @@ def _parse_belief(raw, m: int | None, path: str,
             if not isinstance(entry, dict):
                 errors.append(f"{sub}: expected an object")
                 return None
+            if _unknown_fields(entry, _SUPPORT_FIELDS, sub, errors):
+                return None
             score = _parse_score(entry.get("score"), m, f"{sub}.score", errors)
             prob = _parse_fraction(entry.get("prob"), f"{sub}.prob", errors)
             if score is None or prob is None:
@@ -274,6 +309,8 @@ def _parse_belief(raw, m: int | None, path: str,
 def _parse_rule(raw, path: str, errors: list[str]) -> DecisionRule | None:
     if not isinstance(raw, dict):
         errors.append(f"{path}: expected an object")
+        return None
+    if _unknown_fields(raw, _RULE_FIELDS, path, errors):
         return None
     kind = raw.get("kind")
     if kind not in RULE_KINDS:
@@ -371,6 +408,7 @@ def parse_scenario(text: str) -> Scenario:
     # valid ones are kept, so every voter with an invalid one gets errors
     # under its own path.
     beliefs: dict[str, LayeredBelief | MassFunction] = {}
+    seen_beliefs: dict[str, LayeredBelief | MassFunction] = {}
     prefs: dict[tuple[str, ...], Preference] = {}
     raw_voters = raw.get("voters")
     if not isinstance(raw_voters, list) or not raw_voters:
@@ -382,6 +420,7 @@ def parse_scenario(text: str) -> Scenario:
             errors.append(f"{path}: expected an object")
             voters.append(None)
             continue
+        unknown = _unknown_fields(rv, _VOTER_FIELDS, path, errors)
         raw_pref = rv.get("preference")
         # A valid preference is a list of labels, so only those are looked up.
         pref_key = (tuple(raw_pref) if isinstance(raw_pref, list)
@@ -392,20 +431,26 @@ def parse_scenario(text: str) -> Scenario:
                                 f"{path}.preference", errors)
             if pref is not None:
                 prefs[pref_key] = pref
-        key = json.dumps(rv.get("belief"), sort_keys=True)
-        belief = beliefs.get(key)
+        # Looked up by repr first, which is cheaper than the key-order-free
+        # JSON form that equal beliefs written in another key order share.
+        raw_belief = rv.get("belief")
+        fast_key = repr(raw_belief)
+        belief = seen_beliefs.get(fast_key)
         if belief is None:
-            belief = _parse_belief(rv.get("belief"), m, f"{path}.belief",
-                                   errors)
+            key = json.dumps(raw_belief, sort_keys=True)
+            belief = beliefs.get(key)
+            if belief is None:
+                belief = _parse_belief(raw_belief, m, f"{path}.belief",
+                                       errors)
             if belief is not None:
-                beliefs[key] = belief
+                beliefs[key] = seen_beliefs[fast_key] = belief
         rule = _parse_rule(rv.get("rule"), f"{path}.rule", errors)
         utility = rv.get("utility")
         if utility not in UTILITY_MODELS:
             errors.append(f"{path}.utility: unknown utility model {utility!r}, "
                           f"expected one of {list(UTILITY_MODELS)}")
             utility = None
-        if None in (pref, belief, rule, utility):
+        if unknown or None in (pref, belief, rule, utility):
             voters.append(None)
         else:
             voters.append(VoterConfig(preference=pref, belief=belief,
@@ -427,8 +472,7 @@ def parse_scenario(text: str) -> Scenario:
         if not isinstance(sched, dict):
             errors.append("scheduler: expected an object")
         else:
-            for key in sorted(set(sched) - {"max_steps"}):
-                errors.append(f"scheduler.{key}: unknown field")
+            _unknown_fields(sched, _SCHEDULER_FIELDS, "scheduler", errors)
             if "max_steps" in sched:
                 if not _is_int(sched["max_steps"]) or sched["max_steps"] < 1:
                     errors.append("scheduler.max_steps: expected a positive "

@@ -1,7 +1,11 @@
+import copy
 import itertools
+import math
+import pickle
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -48,10 +52,11 @@ from credalvote import (
 from credalvote import decision
 from credalvote.decision import _CLASSES, _PAIR_COUNTS, _WINNERS, _pair_counts
 from credalvote.dynamics import _least_centre
-from credalvote.oracles import raw_move_utility
+from credalvote.oracles import oracle_evaluation, raw_move_utility
 from credalvote.uncertainty import ExpansionCapError
 from strategies import (
-    decision_rules, mass_functions, preferences, scores, tie_orders)
+    decision_rules, mass_functions, preferences, scores, small_games,
+    tie_orders)
 
 HALF = Fraction(1, 2)
 TIE3 = TieBreakOrder.default(3)
@@ -123,13 +128,115 @@ class TestDecisionRule:
            decision_rules())
     def test_trusted_record_equals_public_one(self, mass, pref, frm, to, tie,
                                               model, rule):
-        # `evaluate_move` builds its record without the ordering check.
+        # `evaluate_move` builds its record from integer parts, without the
+        # ordering check.
         out = evaluate_move(mass, rule, model, pref, frm, to, tie)
         public = MoveEvaluation(out.lower, out.upper, out.pignistic_value,
                                 out.criterion_value, out.verdict)
         assert out == public and hash(out) == hash(public)
         assert repr(out) == repr(public)
-        assert MoveEvaluation._trusted(*astuple(public)) == public
+        # The same values as parts over unreduced denominators.
+        lower, upper, pig = public.lower, public.upper, public.pignistic_value
+        den = 2 * math.lcm(lower.denominator, upper.denominator)
+        value = public.criterion_value
+        assert MoveEvaluation._trusted(
+            public.verdict, int(lower * den), int(upper * den), den,
+            None if pig is None else pig.numerator * den * 3,
+            1 if pig is None else pig.denominator * 3, value.numerator * 5,
+            value.denominator * 5) == public
+
+
+_FIELDS = ("lower", "upper", "pignistic_value", "criterion_value")
+
+
+def _fresh_records(game):
+    """(evaluate_move thunk, oracle record) for every voter and destination
+    of the game, under each of the four rules and three utility models."""
+    state, configs, tie = game
+    ballots = state.profile.ballots
+    broadcast = tuple(ballots.count(c) for c in range(3))
+    alpha = Fraction(1, 3)
+    rules = (DecisionRule(PESSIMISTIC), DecisionRule(PIGNISTIC),
+             DecisionRule(MIXTURE, alpha=alpha),
+             DecisionRule(HURWICZ, alpha=alpha))
+    for voter, config in enumerate(configs[:2]):
+        frm, mass = ballots[voter], config.mass_at(broadcast)
+        for rule, model in itertools.product(rules, UTILITY_MODELS):
+            variant = replace(config, rule=rule, utility=model)
+            for to in range(3):
+                yield (partial(evaluate_move, mass, rule, model,
+                               config.preference, frm, to, tie),
+                       oracle_evaluation(mass, variant, frm, to, tie))
+
+
+class TestLazyRecord:
+    """`evaluate_move` returns records whose four values are built from
+    integer parts on first read; they must behave as records built by the
+    public constructor in every dataclass and copy protocol."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_games(), st.permutations(_FIELDS))
+    def test_fields_match_eager_record_and_oracle(self, game, order):
+        for fresh, oracle in _fresh_records(game):
+            out = fresh()
+            eager = {name: getattr(out, name) for name in order}
+            eager["verdict"] = out.verdict
+            public = MoveEvaluation(**eager)
+            assert fresh() == public and public == fresh()
+            for name in _FIELDS + ("verdict",):
+                assert getattr(fresh(), name) == getattr(oracle, name), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_games())
+    def test_dataclass_and_copy_protocols(self, game):
+        for fresh, oracle in _fresh_records(game):
+            public = MoveEvaluation(*astuple(oracle))
+            assert fresh() == public and hash(fresh()) == hash(public)
+            assert repr(fresh()) == repr(public)
+            assert astuple(fresh()) == astuple(public)
+            assert replace(fresh()) == public
+            assert replace(fresh(), verdict=NOT_PREFERRED) == replace(
+                public, verdict=NOT_PREFERRED)
+            assert copy.copy(fresh()) == public
+            assert copy.deepcopy(fresh()) == public
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(fresh(), protocol)) == public
+            # A copy of a partly read record still builds the rest.
+            out = fresh()
+            out.upper
+            assert copy.copy(out) == public
+
+    def test_values_are_built_on_first_read(self):
+        rule = DecisionRule(MIXTURE, alpha=HALF)
+        out = evaluate_move(MIXED_MASS, rule, MEIR_SIGN, PREF_BCA, 1, 2, TIE3)
+        assert out.verdict == STRICTLY_PREFERRED
+        assert not set(_FIELDS) & set(vars(out))
+        values = {"criterion_value": Fraction(1, 4), "upper": Fraction(1),
+                  "pignistic_value": HALF, "lower": Fraction(0)}
+        read = set()
+        for name, value in values.items():
+            assert name not in vars(out)
+            first = getattr(out, name)
+            assert first == value and type(first) is Fraction
+            read.add(name)
+            assert set(_FIELDS) & set(vars(out)) == read
+            assert getattr(out, name) is first
+
+    def test_unknown_attributes_raise(self):
+        out = evaluate_move(MIXED_MASS, DecisionRule(PESSIMISTIC), MEIR_SIGN,
+                            PREF_BCA, 1, 2, TIE3)
+        for name in ("alpha", "value", "__setstate__", "_lower"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(out, name)
+        assert not set(_FIELDS) & set(vars(out))
+        # No parts: a bare instance, as copy and pickle first make one.
+        bare = object.__new__(MoveEvaluation)
+        for name in _FIELDS + ("_parts", "__setstate__"):
+            assert not hasattr(bare, name)
+        public = MoveEvaluation(*astuple(out))
+        assert "_parts" not in vars(public)
+        with pytest.raises(AttributeError):
+            public.alpha
 
 
 class TestMoveUtility:

@@ -1,6 +1,11 @@
 import importlib
 import json
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -389,6 +394,32 @@ class TestCampaign:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             campaign(lambda seed: family_setup(seed, MEIR_R0), 0)
+
+    def test_peak_memory_stays_flat_over_repeated_campaigns(self):
+        # Four back-to-back 300-seed campaigns at n=12, m=4 over fresh seeds,
+        # in a fresh interpreter so the peak is this workload's own. With
+        # every table bounded the peak grows by about 3 MB after the first
+        # campaign; with the unbounded module-level caches of commit 4814dcf
+        # it grew from 61 to 136 MB.
+        code = textwrap.dedent("""
+            import resource, sys
+            from credalvote import THEOREM1_NESTED, campaign, family_setup
+            peaks = []
+            for k in range(4):
+                campaign(lambda seed: family_setup(seed, THEOREM1_NESTED,
+                                                   12, 4), 300, 300 * k)
+                peaks.append(resource.getrusage(
+                    resource.RUSAGE_SELF).ru_maxrss)
+            # Linux counts ru_maxrss in KiB, macOS in bytes.
+            unit = 1 << (20 if sys.platform == "darwin" else 10)
+            print(*(p / unit for p in peaks))
+            """)
+        src = pathlib.Path(credalvote.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        first, *_, last = map(float, done.stdout.split())
+        assert last - first < 16, done.stdout
 
     def test_single_voter_games_settle_in_at_most_one_move(self):
         from credalvote import FAMILIES

@@ -36,7 +36,8 @@ TRACE_RUN = "simulate prop1_counterexample --trace"
 FULL_TEXT = ("simulate prop1_counterexample", "check prop1_counterexample",
              "verify example4", "campaign theorem1_nested",
              "simulate set_box_total", "simulate ball_past_cap",
-             "simulate box_total_past_cap", TRACE_RUN)
+             "simulate box_total_past_cap", "simulate misspelled_metric",
+             TRACE_RUN)
 STREAMS = ("stdout", "stderr", "trace")
 
 

@@ -106,6 +106,49 @@ class TestParse:
             f"voters[{i}].belief: radii must be strictly increasing"
             for i in (0, 1))
 
+    @pytest.mark.parametrize("belief, error", [
+        ({"kind": "nested", "radii": [1], "weights": ["1"],
+          "metrc": "voter_swap"}, "belief.metrc"),
+        ({"kind": "partitioned", "radii": [0, 1], "weights": ["1/2", "1/2"],
+          "radius": 1}, "belief.radius"),
+        ({"kind": "fixed_mass", "assignments": [], "weights": ["1"]},
+         "belief.weights"),
+        ({"kind": "fixed_mass", "assignments": [
+            {"focal": {"points": [[1, 0, 0]]}, "weight": "1", "wieght": 1}]},
+         "belief.assignments[0].wieght"),
+        ({"kind": "set", "focal": {"points": [[1, 0, 0]], "pts": []}},
+         "belief.focal.pts"),
+        # Only a box takes a total.
+        ({"kind": "set", "focal": {"points": [[1, 0, 0]], "total": 1}},
+         "belief.focal.total"),
+        ({"kind": "set", "focal": {"box": [[1, 1], [0, 0], [0, 0]],
+                                   "totl": 1}}, "belief.focal.totl"),
+        ({"kind": "set", "focal": {"points": [[1, 0, 0]]}, "total": 1},
+         "belief.total"),
+        ({"kind": "probability",
+          "support": [{"score": [1, 0, 0], "prob": "1", "p": "1"}]},
+         "belief.support[0].p"),
+    ])
+    def test_unknown_belief_fields_refused(self, belief, error):
+        # Equal beliefs with an unknown field each report under their own
+        # voter, like every other invalid belief.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(two_voters(belief, belief))
+        assert exc.value.errors == tuple(
+            f"voters[{i}].{error}: unknown field" for i in (0, 1))
+
+    def test_unknown_voter_and_rule_fields_refused(self):
+        raw = json.loads(MINIMAL)
+        voter = raw["voters"][0]
+        voter["rule"] = {"kind": "pessimistic", "alhpa": "1/2"}
+        voter["utilty"] = "cardinal_rank"
+        voter["weight"] = 2
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(raw))
+        assert exc.value.errors == ("voters[0].utilty: unknown field",
+                                    "voters[0].weight: unknown field",
+                                    "voters[0].rule.alhpa: unknown field")
+
     def test_equal_preferences_are_parsed_once(self):
         pref = ["b", "a", "c"]
         text = json.dumps({
