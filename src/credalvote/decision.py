@@ -124,11 +124,12 @@ _LAZY_FIELDS = ("lower", "upper", "pignistic_value", "criterion_value")
 # flat over long campaigns; neither benchmark workload fills a table.
 _CACHE_SIZE = 16_384
 
-# Winners under the last tie order used, the one key of this dict: runs
-# keep one order, and a lookup by score alone stays cheap.
-_WINNERS: dict[tuple[int, ...], dict[Score, int]] = {}
+# Winner pairs of a move (frm, to, clipped gaps) under the last tie order
+# used, the one key of this dict: runs keep one order, and every focal
+# element with a class of those gaps shares the pair.
+_PAIRS: dict[tuple[int, ...], dict[tuple, tuple[int, int]]] = {}
 _PAIR_COUNTS: dict[tuple, dict[tuple[int, int], int]] = {}
-_CLASSES: dict[FocalElement, tuple[tuple[Score, int], ...]] = {}
+_CLASSES: dict[FocalElement, tuple[tuple[Score, Score, int], ...]] = {}
 
 # A move takes at most one vote from a candidate and gives one to another,
 # so a candidate this far behind the top loses before and after it, while
@@ -144,16 +145,16 @@ def _put(table: dict, key, value):
     return value
 
 
-def _classes(focal: FocalElement) -> tuple[tuple[Score, int], ...]:
-    """One (first point, size) per class of the focal element's points with
-    equal gaps to the top, clipped at _CLIP.
+def _classes(focal: FocalElement) -> tuple[tuple[Score, Score, int], ...]:
+    """One (clipped gaps, first point, size) per class of the focal
+    element's points with equal gaps to the top, clipped at _CLIP.
 
-    Every move turns the points of one class into one winner pair: the
-    winner before is the first candidate in tie order at gap 0, and the one
-    after depends only on the gaps below _CLIP. The clamp in `apply_move`
-    never changes it: a candidate with no votes that does not lead cannot
-    win either way, and one that leads is at the all-zero point, where the
-    destination wins either way.
+    Every move turns the points of one class into one winner pair, whatever
+    focal element they lie in: the winner before is the first candidate in
+    tie order at gap 0, and the one after depends only on the gaps below
+    _CLIP. The clamp in `apply_move` never changes it: a candidate with no
+    votes that does not lead cannot win either way, and one that leads is at
+    the all-zero point, where the destination wins either way.
     """
     classes = _CLASSES.get(focal)
     if classes is None:
@@ -166,32 +167,30 @@ def _classes(focal: FocalElement) -> tuple[tuple[Score, int], ...]:
                 groups[gaps] = [s, 1]
             else:
                 group[1] += 1
-        classes = _put(_CLASSES, focal,
-                       tuple([(s, n) for s, n in groups.values()]))
+        classes = _put(_CLASSES, focal, tuple(
+            [(gaps, s, n) for gaps, (s, n) in groups.items()]))
     return classes
 
 
 def _pair_counts(focal: FocalElement, frm: int, to: int,
                  tie: TieBreakOrder) -> dict[tuple[int, int], int]:
     """Counts of (winner-before, winner-after) pairs over the focal element,
-    keyed on its point set: one pass over its classes serves every voter."""
+    keyed on its point set: one pass over its classes serves every voter,
+    and one pair per class of gaps serves every focal element."""
     key = (tie.order, frm, to, focal)
     counts = _PAIR_COUNTS.get(key)
     if counts is None:
         counts = {}
-        winners = _WINNERS.get(tie.order)
-        if winners is None:
-            _WINNERS.clear()
-            winners = _WINNERS[tie.order] = {}
-        for s, n in _classes(focal):
-            before = winners.get(s)
-            if before is None:
-                before = _put(winners, s, plurality_winner(s, tie))
-            t = apply_move(s, frm, to)
-            after = winners.get(t)
-            if after is None:
-                after = _put(winners, t, plurality_winner(t, tie))
-            pair = (before, after)
+        pairs = _PAIRS.get(tie.order)
+        if pairs is None:
+            _PAIRS.clear()
+            pairs = _PAIRS[tie.order] = {}
+        for gaps, s, n in _classes(focal):
+            pair = pairs.get((frm, to, gaps))
+            if pair is None:
+                pair = _put(pairs, (frm, to, gaps), (
+                    plurality_winner(s, tie),
+                    plurality_winner(apply_move(s, frm, to), tie)))
             counts[pair] = counts.get(pair, 0) + n
         _put(_PAIR_COUNTS, key, counts)
     return counts

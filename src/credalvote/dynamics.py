@@ -141,13 +141,12 @@ def _strict_options(voter: int, config: VoterConfig, profile: BallotProfile,
 
 
 def default_policy(options: list[tuple[int, MoveEvaluation]],
-                   pref: Preference, tie: TieBreakOrder) -> int:
+                   pref: Preference) -> int:
     """Pick the highest criterion value; break ties by the voter's own
-    preference over destinations, then by the tie-break order."""
-    tie_pos = {c: i for i, c in enumerate(tie.order)}
-    best = min(options, key=lambda item: (-item[1].criterion_value,
-                                          pref.rank_of(item[0]),
-                                          tie_pos[item[0]]))
+    preference over destinations. That order is strict and destinations are
+    distinct, so no tie is left for the tie-break order to decide."""
+    best = max(options, key=lambda item: (item[1].criterion_value,
+                                          -pref.rank_of(item[0])))
     return best[0]
 
 
@@ -165,7 +164,7 @@ def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder
         options = _strict_options(voter, config, state.profile, broadcast, tie)
         if not options:
             continue
-        to = default_policy(options, config.preference, tie)
+        to = default_policy(options, config.preference)
         outcome = dict(options)[to]
         frm = state.profile.ballots[voter]
         profile = state.profile.with_ballot(voter, to)
@@ -204,12 +203,12 @@ def run(initial: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder,
     state = initial
     while len(trace) <= max_steps:
         key = (state.profile.ballots, state.next_voter)
-        if key in seen:
-            start = seen[key]
+        # One hash of the key per step: it is stored unless already seen.
+        start = seen.setdefault(key, len(trace))
+        if start != len(trace):
             return RunOutcome(status=CYCLE, steps=len(trace), final=state,
                               trace=tuple(trace), cycle_start=start,
                               cycle_length=len(trace) - start)
-        seen[key] = len(trace)
         moved = step(state, configs, tie)
         if moved is None:
             return RunOutcome(status=CONVERGED, steps=len(trace), final=state,

@@ -364,6 +364,26 @@ def _parse_order(raw, candidates: CandidateSet | None, cls, path: str,
         return None
 
 
+def _parse_shared(raw, tables: tuple[dict, dict], parse):
+    """`parse(raw)`, shared by equal raw values through `tables`.
+
+    Looked up by repr first, which is cheaper than the key-order-free JSON
+    form that equal values written in another key order share. A value
+    that `parse` refuses (None) is not kept.
+    """
+    by_repr, by_json = tables
+    fast_key = repr(raw)
+    value = by_repr.get(fast_key)
+    if value is None:
+        key = json.dumps(raw, sort_keys=True)
+        value = by_json.get(key)
+        if value is None:
+            value = parse(raw)
+        if value is not None:
+            by_json[key] = by_repr[fast_key] = value
+    return value
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario JSON, reporting every problem found."""
     errors: list[str] = []
@@ -404,11 +424,11 @@ def parse_scenario(text: str) -> Scenario:
         tie = TieBreakOrder.default(candidates.m)
 
     voters: list[VoterConfig | None] = []
-    # Equal beliefs and equal preferences are parsed once and shared. Only
+    # Equal preferences, beliefs and rules are parsed once and shared. Only
     # valid ones are kept, so every voter with an invalid one gets errors
     # under its own path.
-    beliefs: dict[str, LayeredBelief | MassFunction] = {}
-    seen_beliefs: dict[str, LayeredBelief | MassFunction] = {}
+    beliefs: tuple[dict, dict] = ({}, {})
+    rules: tuple[dict, dict] = ({}, {})
     prefs: dict[tuple[str, ...], Preference] = {}
     raw_voters = raw.get("voters")
     if not isinstance(raw_voters, list) or not raw_voters:
@@ -431,20 +451,10 @@ def parse_scenario(text: str) -> Scenario:
                                 f"{path}.preference", errors)
             if pref is not None:
                 prefs[pref_key] = pref
-        # Looked up by repr first, which is cheaper than the key-order-free
-        # JSON form that equal beliefs written in another key order share.
-        raw_belief = rv.get("belief")
-        fast_key = repr(raw_belief)
-        belief = seen_beliefs.get(fast_key)
-        if belief is None:
-            key = json.dumps(raw_belief, sort_keys=True)
-            belief = beliefs.get(key)
-            if belief is None:
-                belief = _parse_belief(raw_belief, m, f"{path}.belief",
-                                       errors)
-            if belief is not None:
-                beliefs[key] = seen_beliefs[fast_key] = belief
-        rule = _parse_rule(rv.get("rule"), f"{path}.rule", errors)
+        belief = _parse_shared(rv.get("belief"), beliefs, lambda raw: (
+            _parse_belief(raw, m, f"{path}.belief", errors)))
+        rule = _parse_shared(rv.get("rule"), rules, lambda raw: (
+            _parse_rule(raw, f"{path}.rule", errors)))
         utility = rv.get("utility")
         if utility not in UTILITY_MODELS:
             errors.append(f"{path}.utility: unknown utility model {utility!r}, "

@@ -50,7 +50,8 @@ from credalvote import (
     upper_expectation,
 )
 from credalvote import decision
-from credalvote.decision import _CLASSES, _PAIR_COUNTS, _WINNERS, _pair_counts
+from credalvote.decision import (
+    _CLASSES, _CLIP, _PAIR_COUNTS, _PAIRS, _classes, _pair_counts)
 from credalvote.dynamics import _least_centre
 from credalvote.oracles import oracle_evaluation, raw_move_utility
 from credalvote.uncertainty import ExpansionCapError
@@ -478,13 +479,13 @@ class TestPairCountCache:
     def test_tables_stay_within_their_bound(self, monkeypatch):
         def short_campaign():
             _PAIR_COUNTS.clear()
-            _WINNERS.clear()
+            _PAIRS.clear()
             _CLASSES.clear()
             return campaign(
                 lambda seed: family_setup(seed, THEOREM1_NESTED, 5, 4), 6)
 
         def sizes():
-            return (len(_PAIR_COUNTS), sum(map(len, _WINNERS.values())),
+            return (len(_PAIR_COUNTS), sum(map(len, _PAIRS.values())),
                     len(_CLASSES))
 
         unbounded = short_campaign()
@@ -492,7 +493,7 @@ class TestPairCountCache:
         monkeypatch.setattr(decision, "_CACHE_SIZE", 10)
         assert short_campaign() == unbounded
         assert max(sizes()) <= 10
-        assert len(_WINNERS) == 1  # one tie order at a time
+        assert len(_PAIRS) == 1  # one tie order at a time
 
 
 @st.composite
@@ -532,6 +533,54 @@ class TestGapClasses:
                              plurality_winner(apply_move(s, frm, to), tie))
                             for s in focal.points)
             assert _pair_counts(focal, frm, to, tie) == fresh, (frm, to)
+
+    @pytest.mark.parametrize("order", itertools.permutations(range(3)))
+    def test_shared_pairs_are_the_points_own(self, order):
+        # Every point with entries 0-6 at m = 3, under one tie order, for
+        # every (frm, to), frm == to included.
+        tie = TieBreakOrder(order)
+        points = list(itertools.product(range(7), repeat=3))
+        _PAIRS.clear()
+        _PAIR_COUNTS.clear()
+        _CLASSES.clear()
+        focals = [FocalElement.from_points([s]) for s in points]
+        for focal, frm, to in itertools.product(focals, range(3), range(3)):
+            _pair_counts(focal, frm, to, tie)
+        pairs = _PAIRS[order]
+        for s, frm, to in itertools.product(points, range(3), range(3)):
+            top = max(s)
+            gaps = tuple(min(top - x, _CLIP) for x in s)
+            assert pairs[frm, to, gaps] == (
+                plurality_winner(s, tie),
+                plurality_winner(apply_move(s, frm, to), tie)), (s, frm, to)
+
+    @given(focal_elements_and_ties(), st.data())
+    @settings(max_examples=200)
+    def test_focal_elements_share_pairs(self, game, data):
+        # A second focal element shares a class of gaps with the first
+        # (its first point, shifted up), and reads its pairs from the table
+        # the first one filled.
+        first, tie = game
+        m = len(tie.order)
+        shift = data.draw(st.integers(0, 3))
+        seed = next(iter(first.points))
+        extra = data.draw(st.lists(scores(m, max_votes=6), max_size=6))
+        second = FocalElement.from_points(
+            [tuple(x + shift for x in seed)] + extra)
+        assume(second != first)
+        _PAIRS.clear()
+        _PAIR_COUNTS.clear()
+        _CLASSES.clear()
+        assert ({gaps for gaps, _, _ in _classes(first)}
+                & {gaps for gaps, _, _ in _classes(second)})
+        for frm, to in itertools.product(range(m), repeat=2):
+            for focal in (first, second):
+                fresh = Counter(
+                    (plurality_winner(s, tie),
+                     plurality_winner(apply_move(s, frm, to), tie))
+                    for s in focal.points)
+                assert _pair_counts(focal, frm, to, tie) == fresh, (
+                    focal, frm, to)
 
 
 @st.composite

@@ -9,7 +9,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from credalvote import (
     BallotProfile,
@@ -48,7 +48,7 @@ import credalvote
 from credalvote import uncertainty
 from credalvote.dynamics import _layered_mass, _least_centre
 from credalvote.oracles import oracle_equilibrium
-from strategies import small_games
+from strategies import preferences, small_games, tie_orders
 
 THIRD = Fraction(1, 3)
 TIE3 = TieBreakOrder.default(3)
@@ -168,12 +168,30 @@ class TestPolicy:
 
     def test_highest_value_wins(self):
         options = [self.option(1, THIRD), self.option(2, Fraction(2, 3))]
-        assert default_policy(options, Preference((0, 1, 2)), TIE3) == 2
+        assert default_policy(options, Preference((0, 1, 2))) == 2
 
     def test_value_ties_go_to_the_preferred_destination(self):
         options = [self.option(1, THIRD), self.option(2, THIRD)]
-        assert default_policy(options, Preference((2, 1, 0)), TIE3) == 2
-        assert default_policy(options, Preference((0, 1, 2)), TIE3) == 1
+        assert default_policy(options, Preference((2, 1, 0))) == 2
+        assert default_policy(options, Preference((0, 1, 2))) == 1
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_policy_matches_the_minimum_key(self, data):
+        # Against the key the policy once took the minimum over, with few
+        # distinct values so that ties on the value are common.
+        m = data.draw(st.integers(2, 6))
+        pref, tie = data.draw(preferences(m)), data.draw(tie_orders(m))
+        destinations = data.draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                          max_size=m, unique=True))
+        options = [self.option(to, data.draw(st.sampled_from(
+            (Fraction(-1, 2), THIRD, Fraction(2, 3)))))
+            for to in destinations]
+        tie_pos = {c: i for i, c in enumerate(tie.order)}
+        expected = min(options, key=lambda item: (-item[1].criterion_value,
+                                                  pref.rank_of(item[0]),
+                                                  tie_pos[item[0]]))[0]
+        assert default_policy(options, pref) == expected
 
 
 class TestStep:

@@ -176,6 +176,37 @@ class TestParse:
             "voters[2].preference: expected 4 labels, got 3",
             "voters[3].preference: expected a list of candidate labels")
 
+    def test_equal_rules_are_parsed_once(self):
+        voters = json.loads(MINIMAL)["voters"]
+        hurwicz = {"kind": "hurwicz", "alpha": "1/2"}
+        # The last voter writes the first one's rule in another key order.
+        rules = [hurwicz, {"kind": "pessimistic"}, dict(hurwicz),
+                 {"alpha": "1/2", "kind": "hurwicz"}]
+        text = json.dumps({
+            "format_version": 1, "candidates": ["a", "b", "c"],
+            "voters": [dict(voters[0], rule=r) for r in rules]})
+        parsed = [v.rule for v in parse_scenario(text).voters]
+        assert parsed[0] is parsed[2] is parsed[3]
+        assert parsed[0].alpha == Fraction(1, 2)
+        assert parsed[1].kind == PESSIMISTIC
+
+    def test_equal_invalid_rules_each_report(self):
+        text = json.loads(PARTIAL_PREFERENCE)
+        del text["voters"][1]
+        voter = text["voters"][0]
+        bad = {"kind": "hurwicz", "alpha": "3/2"}
+        text["voters"] = [dict(voter, rule=bad), voter, dict(voter, rule=bad),
+                          dict(voter, rule={"alpha": "3/2",
+                                            "kind": "hurwicz"}),
+                          dict(voter, rule="pessimistic")]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(text))
+        assert exc.value.errors == (
+            "voters[0].rule: alpha must lie in [0, 1]",
+            "voters[2].rule: alpha must lie in [0, 1]",
+            "voters[3].rule: alpha must lie in [0, 1]",
+            "voters[4].rule: expected an object")
+
     def test_minimal_defaults(self):
         scenario = parse_scenario(MINIMAL)
         assert scenario.candidates.labels == ("a", "b", "c")
