@@ -128,7 +128,7 @@ _CACHE_SIZE = 16_384
 # used, the one key of this dict: runs keep one order, and every focal
 # element with a class of those gaps shares the pair.
 _PAIRS: dict[tuple[int, ...], dict[tuple, tuple[int, int]]] = {}
-_PAIR_COUNTS: dict[tuple, dict[tuple[int, int], int]] = {}
+_PAIR_COUNTS: dict[tuple, dict[int, dict[tuple[int, int], int]]] = {}
 _CLASSES: dict[FocalElement, tuple[tuple[Score, Score, int], ...]] = {}
 
 # A move takes at most one vote from a candidate and gives one to another,
@@ -172,28 +172,40 @@ def _classes(focal: FocalElement) -> tuple[tuple[Score, Score, int], ...]:
     return classes
 
 
-def _pair_counts(focal: FocalElement, frm: int, to: int,
-                 tie: TieBreakOrder) -> dict[tuple[int, int], int]:
+def _pair_counts(focal: FocalElement, frm: int, tie: TieBreakOrder
+                 ) -> dict[int, dict[tuple[int, int], int]]:
     """Counts of (winner-before, winner-after) pairs over the focal element,
-    keyed on its point set: one pass over its classes serves every voter,
-    and one pair per class of gaps serves every focal element."""
-    key = (tie.order, frm, to, focal)
-    counts = _PAIR_COUNTS.get(key)
-    if counts is None:
-        counts = {}
+    for each live destination of a move from `frm`: one to which some point
+    changes its winner. A destination left out, `frm` included, changes no
+    winner, so the move is worth 0 there under every utility model.
+
+    Keyed on the point set, so one miss serves every voter; one pair per
+    class of gaps serves every focal element.
+    """
+    key = (tie.order, frm, focal)
+    live = _PAIR_COUNTS.get(key)
+    if live is None:
         pairs = _PAIRS.get(tie.order)
         if pairs is None:
             _PAIRS.clear()
             pairs = _PAIRS[tie.order] = {}
-        for gaps, s, n in _classes(focal):
-            pair = pairs.get((frm, to, gaps))
-            if pair is None:
-                pair = _put(pairs, (frm, to, gaps), (
-                    plurality_winner(s, tie),
-                    plurality_winner(apply_move(s, frm, to), tie)))
-            counts[pair] = counts.get(pair, 0) + n
-        _put(_PAIR_COUNTS, key, counts)
-    return counts
+        classes = _classes(focal)
+        live = {}
+        for to in range(len(tie.order)):
+            if to == frm:
+                continue
+            counts = {}
+            for gaps, s, n in classes:
+                pair = pairs.get((frm, to, gaps))
+                if pair is None:
+                    pair = _put(pairs, (frm, to, gaps), (
+                        plurality_winner(s, tie),
+                        plurality_winner(apply_move(s, frm, to), tie)))
+                counts[pair] = counts.get(pair, 0) + n
+            if any(before != after for before, after in counts):
+                live[to] = counts
+        _put(_PAIR_COUNTS, key, live)
+    return live
 
 
 def _focal_stats(focal: FocalElement, model: str, rank: Sequence[int],
@@ -209,9 +221,16 @@ def _focal_stats(focal: FocalElement, model: str, rank: Sequence[int],
     when the new winner is the destination itself; other improvements count
     0. cardinal_rank: rank[before] - rank[after] itself.
     """
+    counts = _pair_counts(focal, frm, tie).get(to)
+    if counts is None:
+        # A live destination is a candidate, and so is the `frm` of any
+        # stored key; an absent one is checked here.
+        if not 0 <= to < len(rank):
+            raise ValueError("candidate index out of range")
+        return 0, 0, 0, len(focal.points)
     # Every value lies within m - 1 of zero.
     lo, hi, total, n = len(rank), -len(rank), 0, 0
-    for (before, after), count in _pair_counts(focal, frm, to, tie).items():
+    for (before, after), count in counts.items():
         v = rank[before] - rank[after]
         if model == MEIR_SIGN:
             v = (v > 0) - (v < 0)

@@ -19,6 +19,7 @@ from .decision import (
     MoveEvaluation,
     STRICTLY_PREFERRED,
     UTILITY_MODELS,
+    _pair_counts,
     evaluate_move,
 )
 from .election import (
@@ -129,10 +130,14 @@ def _strict_options(voter: int, config: VoterConfig, profile: BallotProfile,
     belief = config.belief
     mass = config.mass_at(broadcast if isinstance(belief, MassFunction)
                           else _least_centre(broadcast, belief.radii[-1]))
+    # A destination that changes no winner in any focal element is worth 0
+    # under every rule, so it is never strict. The live destinations are
+    # gathered as the keys of one dict, which merges faster than a set.
+    live = {}
+    for focal, _ in mass.assignments:
+        live.update(_pair_counts(focal, frm, tie))
     options = []
-    for to in range(len(broadcast)):
-        if to == frm:
-            continue
+    for to in sorted(live):
         outcome = evaluate_move(mass, config.rule, config.utility,
                                 config.preference, frm, to, tie)
         if outcome.verdict == STRICTLY_PREFERRED:

@@ -495,6 +495,29 @@ class TestPairCountCache:
         assert max(sizes()) <= 10
         assert len(_PAIRS) == 1  # one tie order at a time
 
+    def test_out_of_range_moves_raise(self):
+        # A destination missing from the table of live ones changes no
+        # winner, unless it is no candidate at all: cold and warm tables
+        # refuse such moves alike.
+        mass = MassFunction(((neighborhood((2, 1, 0), L1_ADDREMOVE, 1),
+                              Fraction(1)),))
+        rule = DecisionRule(PIGNISTIC)
+        bad = [(frm, to) for frm, to in itertools.product((-1, 0, 3), repeat=2)
+               if 3 in (frm, to) or -1 in (frm, to)]
+        for frm, to in bad:
+            _PAIR_COUNTS.clear()
+            _PAIRS.clear()
+            _CLASSES.clear()
+            with pytest.raises(ValueError, match="out of range"):
+                evaluate_move(mass, rule, MEIR_SIGN, self.PREF_BAC, frm, to,
+                              TIE3)
+        for frm, to in itertools.product(range(3), repeat=2):
+            evaluate_move(mass, rule, MEIR_SIGN, self.PREF_BAC, frm, to, TIE3)
+        for frm, to in bad:
+            with pytest.raises(ValueError, match="out of range"):
+                evaluate_move(mass, rule, MEIR_SIGN, self.PREF_BAC, frm, to,
+                              TIE3)
+
 
 @st.composite
 def focal_elements_and_ties(draw):
@@ -513,9 +536,24 @@ def focal_elements_and_ties(draw):
     return FocalElement.from_points(points), draw(tie_orders(m))
 
 
+def live_counts(focal, frm, tie):
+    """Per destination of a move from `frm`, `frm` included, the per-point
+    Counter of (winner before, winner after) pairs, kept only where some
+    point changes its winner."""
+    live = {}
+    for to in range(len(tie.order)):
+        fresh = Counter((plurality_winner(s, tie),
+                         plurality_winner(apply_move(s, frm, to), tie))
+                        for s in focal.points)
+        if any(before != after for before, after in fresh):
+            live[to] = fresh
+    return live
+
+
 class TestGapClasses:
     """Pair counts taken once per class of points with equal gaps to the
-    top, clipped at 3, equal the counts taken point by point."""
+    top, clipped at 3, equal the counts taken point by point, and are kept
+    for exactly the destinations to which some point changes its winner."""
 
     @given(focal_elements_and_ties())
     @settings(max_examples=300)
@@ -527,32 +565,53 @@ class TestGapClasses:
         focal, tie = game
         _PAIR_COUNTS.clear()  # so that a failure replays on its own
         _CLASSES.clear()
+        for frm in range(len(tie.order)):
+            assert _pair_counts(focal, frm, tie) == live_counts(
+                focal, frm, tie), frm
+
+    @given(focal_elements_and_ties(), st.data())
+    @settings(max_examples=150)
+    def test_focal_stats_are_the_points_own(self, game, data):
+        # (min, max, sum, count) of the utility over the points for every
+        # move, those that change no winner included: their count is still
+        # the point count.
+        focal, tie = game
         m = len(tie.order)
-        for frm, to in itertools.product(range(m), repeat=2):
-            fresh = Counter((plurality_winner(s, tie),
-                             plurality_winner(apply_move(s, frm, to), tie))
-                            for s in focal.points)
-            assert _pair_counts(focal, frm, to, tie) == fresh, (frm, to)
+        pref = data.draw(preferences(m))
+        for model, frm, to in itertools.product(UTILITY_MODELS, range(m),
+                                                range(m)):
+            values = [raw_move_utility(model, pref, frm, to, s, tie)
+                      for s in focal.points]
+            assert decision._focal_stats(focal, model, pref._rank, frm, to,
+                                         tie) == (min(values), max(values),
+                                                  sum(values), len(values)), (
+                model, frm, to)
 
     @pytest.mark.parametrize("order", itertools.permutations(range(3)))
     def test_shared_pairs_are_the_points_own(self, order):
         # Every point with entries 0-6 at m = 3, under one tie order, for
-        # every (frm, to), frm == to included.
+        # every (frm, to), frm == to included: a move to its own `frm` is
+        # never looked up, and a point's table is live exactly where its
+        # winner changes.
         tie = TieBreakOrder(order)
         points = list(itertools.product(range(7), repeat=3))
         _PAIRS.clear()
         _PAIR_COUNTS.clear()
         _CLASSES.clear()
         focals = [FocalElement.from_points([s]) for s in points]
-        for focal, frm, to in itertools.product(focals, range(3), range(3)):
-            _pair_counts(focal, frm, to, tie)
+        for focal, frm in itertools.product(focals, range(3)):
+            _pair_counts(focal, frm, tie)
         pairs = _PAIRS[order]
         for s, frm, to in itertools.product(points, range(3), range(3)):
             top = max(s)
             gaps = tuple(min(top - x, _CLIP) for x in s)
-            assert pairs[frm, to, gaps] == (
-                plurality_winner(s, tie),
-                plurality_winner(apply_move(s, frm, to), tie)), (s, frm, to)
+            pair = (plurality_winner(s, tie),
+                    plurality_winner(apply_move(s, frm, to), tie))
+            assert pairs.get((frm, to, gaps)) == (
+                None if frm == to else pair), (s, frm, to)
+            live = _pair_counts(FocalElement.from_points([s]), frm, tie)
+            assert live.get(to) == (
+                None if pair[0] == pair[1] else {pair: 1}), (s, frm, to)
 
     @given(focal_elements_and_ties(), st.data())
     @settings(max_examples=200)
@@ -573,14 +632,10 @@ class TestGapClasses:
         _CLASSES.clear()
         assert ({gaps for gaps, _, _ in _classes(first)}
                 & {gaps for gaps, _, _ in _classes(second)})
-        for frm, to in itertools.product(range(m), repeat=2):
+        for frm in range(m):
             for focal in (first, second):
-                fresh = Counter(
-                    (plurality_winner(s, tie),
-                     plurality_winner(apply_move(s, frm, to), tie))
-                    for s in focal.points)
-                assert _pair_counts(focal, frm, to, tie) == fresh, (
-                    focal, frm, to)
+                assert _pair_counts(focal, frm, tie) == live_counts(
+                    focal, frm, tie), (focal, frm)
 
 
 @st.composite
@@ -684,19 +739,16 @@ class TestSignatureKeys:
             assert _least_centre(low, r) == low
         _PAIR_COUNTS.clear()  # so that a failure replays on its own
         m = len(centers[0])
-        for center, frm, to in itertools.product(centers, range(m), range(m)):
+        for center, frm in itertools.product(centers, range(m)):
             counts = []
             for mass in (layered_or_reject(belief, center),
                          layered_or_reject(belief, _least_centre(center, r))):
                 for focal, _ in mass.assignments:
-                    fresh = Counter(
-                        (plurality_winner(s, tie),
-                         plurality_winner(apply_move(s, frm, to), tie))
-                        for s in focal.points)
-                    assert _pair_counts(focal, frm, to, tie) == fresh
-                counts.append([_pair_counts(focal, frm, to, tie)
+                    assert _pair_counts(focal, frm, tie) == live_counts(
+                        focal, frm, tie)
+                counts.append([_pair_counts(focal, frm, tie)
                                for focal, _ in mass.assignments])
-            assert counts[0] == counts[1], (center, frm, to)
+            assert counts[0] == counts[1], (center, frm)
 
     @given(recentred_games(), st.fractions(0, 1, max_denominator=4))
     @settings(max_examples=120)

@@ -9,7 +9,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from credalvote import (
     BallotProfile,
@@ -22,14 +22,17 @@ from credalvote import (
     LayeredBelief,
     MEIR_R0,
     MEIR_SIGN,
+    METRICS,
     MassFunction,
     MoveEvaluation,
     NESTED,
+    PARTITIONED,
     PESSIMISTIC,
     Preference,
     STEP_LIMIT,
     STRICTLY_PREFERRED,
     TieBreakOrder,
+    UTILITY_MODELS,
     VoterConfig,
     campaign,
     default_policy,
@@ -46,9 +49,10 @@ from credalvote import (
 )
 import credalvote
 from credalvote import uncertainty
-from credalvote.dynamics import _layered_mass, _least_centre
-from credalvote.oracles import oracle_equilibrium
-from strategies import preferences, small_games, tie_orders
+from credalvote.dynamics import _layered_mass, _least_centre, _strict_options
+from credalvote.oracles import oracle_equilibrium, oracle_evaluation
+from strategies import (
+    decision_rules, mass_functions, preferences, small_games, tie_orders)
 
 THIRD = Fraction(1, 3)
 TIE3 = TieBreakOrder.default(3)
@@ -241,6 +245,63 @@ class TestStep:
         with pytest.raises(ExpansionCapError,
                            match="neighborhood expands past cap 100000"):
             step(state, configs, TieBreakOrder.default(6))
+
+
+@st.composite
+def scans(draw):
+    """A ballot profile whose voter 0 scans, that voter's config and a tie
+    order, over 3 to 5 candidates. The belief is layered (nested or
+    partitioned, one to three radii up to 2, either metric) or a fixed mass
+    of up to four focal elements."""
+    m = draw(st.integers(3, 5))
+    ballots = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        radii = tuple(sorted(draw(st.sets(st.integers(0, 2), min_size=1,
+                                          max_size=3))))
+        parts = [draw(st.integers(1, 4)) for _ in radii]
+        belief = LayeredBelief(
+            draw(st.sampled_from((NESTED, PARTITIONED))), radii,
+            tuple(Fraction(p, sum(parts)) for p in parts),
+            draw(st.sampled_from(METRICS)))
+    else:
+        belief = draw(mass_functions(m=m, max_votes=3))
+    config = VoterConfig(draw(preferences(m)), belief, draw(decision_rules()),
+                         draw(st.sampled_from(UTILITY_MODELS)))
+    return BallotProfile(tuple(ballots)), config, draw(tie_orders(m))
+
+
+class TestStrictOptions:
+    @given(scans())
+    @settings(max_examples=250, deadline=None)
+    def test_scan_keeps_exactly_the_oracles_strict_moves(self, scan):
+        # The scan evaluates only destinations that change a winner in some
+        # focal element; every other one must be one the oracle finds
+        # weakly preferred, and the records must not depend on the skip.
+        profile, config, tie = scan
+        m = len(tie.order)
+        broadcast = tally(profile.ballots, m)
+        centre = broadcast
+        if isinstance(config.belief, LayeredBelief):
+            centre = _least_centre(broadcast, config.belief.radii[-1])
+        try:
+            mass = config.mass_at(broadcast)
+            config.mass_at(centre)
+        except ValueError:  # an empty voter_swap ring
+            assume(False)
+        frm = profile.ballots[0]
+        options = _strict_options(0, config, profile, broadcast, tie)
+        oracles = [oracle_evaluation(mass, config, frm, to, tie)
+                   for to in range(m)]
+        assert [to for to, _ in options] == [
+            to for to, o in enumerate(oracles)
+            if o.verdict == STRICTLY_PREFERRED]
+        kept = dict(options)
+        for to, oracle in enumerate(oracles):
+            record = evaluate_move(mass, config.rule, config.utility,
+                                   config.preference, frm, to, tie)
+            assert record == oracle, to
+            if to in kept:
+                assert kept[to] == record, to
 
 
 class TestRun:
