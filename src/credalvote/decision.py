@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .election import (
@@ -22,7 +23,8 @@ from .election import (
     plurality_winner,
     possible_tops,
 )
-from .uncertainty import FocalElement, MassFunction, _rational, product_mass
+from .uncertainty import (
+    LRU_SIZE, FocalElement, MassFunction, _rational, product_mass)
 
 MEIR_SIGN = "meir_sign"
 DIRECT_BEST_RESPONSE = "direct_best_response"
@@ -118,36 +120,16 @@ class MoveEvaluation:
 _LAZY_FIELDS = ("lower", "upper", "pignistic_value", "criterion_value")
 
 
-# Entries kept in each table below. A full table is emptied: that costs
-# O(1) per entry stored, and the tables stay plain dicts, which the garbage
-# collector stops scanning once they hold only ints and tuples. Memory stays
-# flat over long campaigns; neither benchmark workload fills a table.
-_CACHE_SIZE = 16_384
-
-# Winner pairs of a move (frm, to, clipped gaps) under the last tie order
-# used, the one key of this dict: runs keep one order, and every focal
-# element with a class of those gaps shares the pair.
-_PAIRS: dict[tuple[int, ...], dict[tuple, tuple[int, int]]] = {}
-_PAIR_COUNTS: dict[tuple, dict[int, dict[tuple[int, int], int]]] = {}
-_CLASSES: dict[FocalElement, tuple[tuple[Score, Score, int], ...]] = {}
-
 # A move takes at most one vote from a candidate and gives one to another,
 # so a candidate this far behind the top loses before and after it, while
 # one a vote closer can tie the top after it and win on the tie order.
 _CLIP = 3
 
 
-def _put(table: dict, key, value):
-    """Store `value` under `key`, emptying the table first when it is full."""
-    if len(table) >= _CACHE_SIZE:
-        table.clear()
-    table[key] = value
-    return value
-
-
-def _classes(focal: FocalElement) -> tuple[tuple[Score, Score, int], ...]:
-    """One (clipped gaps, first point, size) per class of the focal
-    element's points with equal gaps to the top, clipped at _CLIP.
+@lru_cache(maxsize=LRU_SIZE)
+def _classes(focal: FocalElement) -> tuple[tuple[Score, int], ...]:
+    """One (clipped gaps, size) per class of the focal element's points with
+    equal gaps to the top, clipped at _CLIP.
 
     Every move turns the points of one class into one winner pair, whatever
     focal element they lie in: the winner before is the first candidate in
@@ -156,55 +138,48 @@ def _classes(focal: FocalElement) -> tuple[tuple[Score, Score, int], ...]:
     votes that does not lead cannot win either way, and one that leads is at
     the all-zero point, where the destination wins either way.
     """
-    classes = _CLASSES.get(focal)
-    if classes is None:
-        groups: dict[Score, list] = {}
-        for s in focal.points:
-            top = max(s)
-            gaps = tuple([min(top - x, _CLIP) for x in s])
-            group = groups.get(gaps)
-            if group is None:
-                groups[gaps] = [s, 1]
-            else:
-                group[1] += 1
-        classes = _put(_CLASSES, focal, tuple(
-            [(gaps, s, n) for gaps, (s, n) in groups.items()]))
-    return classes
+    sizes: dict[Score, int] = {}
+    for s in focal.points:
+        top = max(s)
+        gaps = tuple([min(top - x, _CLIP) for x in s])
+        sizes[gaps] = sizes.get(gaps, 0) + 1
+    return tuple(sizes.items())
 
 
-def _pair_counts(focal: FocalElement, frm: int, tie: TieBreakOrder
+@lru_cache(maxsize=LRU_SIZE)
+def _move_pairs(order: tuple[int, ...], frm: int, gaps: Score
+                ) -> tuple[tuple[int, int], ...]:
+    """The (winner-before, winner-after) pair of a move from `frm` to each
+    candidate, `frm` included, at every point with these clipped gaps under
+    the tie order `order`. Read at the point with these gaps whose top is
+    _CLIP, which gives every such point's pair (see `_classes`)."""
+    tie = TieBreakOrder(order)
+    s = tuple([_CLIP - g for g in gaps])
+    before = plurality_winner(s, tie)
+    return tuple([
+        (before, before if to == frm
+         else plurality_winner(apply_move(s, frm, to), tie))
+        for to in range(len(gaps))])
+
+
+@lru_cache(maxsize=LRU_SIZE)
+def _pair_counts(focal: FocalElement, frm: int, order: tuple[int, ...]
                  ) -> dict[int, dict[tuple[int, int], int]]:
-    """Counts of (winner-before, winner-after) pairs over the focal element,
-    for each live destination of a move from `frm`: one to which some point
-    changes its winner. A destination left out, `frm` included, changes no
-    winner, so the move is worth 0 there under every utility model.
-
-    Keyed on the point set, so one miss serves every voter; one pair per
-    class of gaps serves every focal element.
+    """Counts of (winner-before, winner-after) pairs over the focal element
+    under the tie order `order`, for each live destination of a move from
+    `frm`: one to which some point changes its winner. A destination left
+    out, `frm` included, is worth 0 under every utility model. One miss
+    serves every voter, and one row per class of gaps every focal element.
     """
-    key = (tie.order, frm, focal)
-    live = _PAIR_COUNTS.get(key)
-    if live is None:
-        pairs = _PAIRS.get(tie.order)
-        if pairs is None:
-            _PAIRS.clear()
-            pairs = _PAIRS[tie.order] = {}
-        classes = _classes(focal)
-        live = {}
-        for to in range(len(tie.order)):
-            if to == frm:
-                continue
-            counts = {}
-            for gaps, s, n in classes:
-                pair = pairs.get((frm, to, gaps))
-                if pair is None:
-                    pair = _put(pairs, (frm, to, gaps), (
-                        plurality_winner(s, tie),
-                        plurality_winner(apply_move(s, frm, to), tie)))
-                counts[pair] = counts.get(pair, 0) + n
-            if any(before != after for before, after in counts):
-                live[to] = counts
-        _put(_PAIR_COUNTS, key, live)
+    rows = [(_move_pairs(order, frm, gaps), n) for gaps, n in _classes(focal)]
+    live = {}
+    for to in range(len(order)):
+        counts = {}
+        for row, n in rows:
+            pair = row[to]
+            counts[pair] = counts.get(pair, 0) + n
+        if any(before != after for before, after in counts):
+            live[to] = counts
     return live
 
 
@@ -221,7 +196,7 @@ def _focal_stats(focal: FocalElement, model: str, rank: Sequence[int],
     when the new winner is the destination itself; other improvements count
     0. cardinal_rank: rank[before] - rank[after] itself.
     """
-    counts = _pair_counts(focal, frm, tie).get(to)
+    counts = _pair_counts(focal, frm, tie.order).get(to)
     if counts is None:
         # A live destination is a candidate, and so is the `frm` of any
         # stored key; an absent one is checked here.

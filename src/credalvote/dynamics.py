@@ -53,6 +53,10 @@ class VoterConfig:
             raise ValueError(f"unknown utility model {self.utility!r}")
         if not isinstance(self.belief, (LayeredBelief, MassFunction)):
             raise TypeError("belief must be a LayeredBelief or MassFunction")
+        if (isinstance(self.belief, MassFunction)
+                and len(self.belief.assignments[0][0].points[0])
+                != len(self.preference.ranking)):
+            raise ValueError("belief and preference differ in candidates")
 
     def mass_at(self, broadcast: Score) -> MassFunction:
         """The fixed mass, or the layered belief centered on `broadcast`."""
@@ -135,7 +139,7 @@ def _strict_options(voter: int, config: VoterConfig, profile: BallotProfile,
     # gathered as the keys of one dict, which merges faster than a set.
     live = {}
     for focal, _ in mass.assignments:
-        live.update(_pair_counts(focal, frm, tie))
+        live.update(_pair_counts(focal, frm, tie.order))
     options = []
     for to in sorted(live):
         outcome = evaluate_move(mass, config.rule, config.utility,
@@ -186,11 +190,22 @@ def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder
     return None
 
 
+def _check_sizes(state: GameState, configs: Sequence[VoterConfig],
+                 tie: TieBreakOrder) -> None:
+    """Refuse a game whose voters, ballots and candidates disagree."""
+    m = len(tie.order)
+    if len(configs) != state.profile.n or any(
+            len(c.preference.ranking) != m for c in configs):
+        raise ValueError(f"need {state.profile.n} voter configs, each "
+                         f"ranking the tie order's {m} candidates")
+
+
 def equilibrium_check(state: GameState, configs: Sequence[VoterConfig],
                       tie: TieBreakOrder
                       ) -> tuple[bool, tuple[int, int, int] | None]:
     """True when no voter holds a strictly preferred move; else, as witness,
     the move (voter, from, to) a scan from voter 0 would make."""
+    _check_sizes(state, configs, tie)
     moved = step(GameState(state.profile), configs, tie)
     if moved is None:
         return True, None
@@ -203,6 +218,7 @@ def run(initial: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder,
     """Iterate steps until equilibrium, a repeated state, or the step limit."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    _check_sizes(initial, configs, tie)
     seen: dict[tuple[tuple[int, ...], int], int] = {}
     trace: list[MoveRecord] = []
     state = initial

@@ -113,6 +113,9 @@ class BallotProfile:
         """This profile with one ballot changed; only that ballot is checked."""
         if type(candidate) is not int or candidate < 0:
             raise ValueError("ballots must be candidate indices")
+        if type(voter) is not int or not 0 <= voter < self.n:
+            raise ValueError(f"voter {voter!r} is not an index in "
+                             f"0..{self.n - 1}")
         ballots = list(self.ballots)
         ballots[voter] = candidate
         profile = object.__new__(BallotProfile)

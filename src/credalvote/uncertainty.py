@@ -19,11 +19,14 @@ from .election import Score, tally, validate_score
 
 DEFAULT_CAP = 100_000
 
-# Entries kept per process in each least-recently-used table: the balls and
-# rings built here, and the recentred masses and least centres of the
-# dynamics. The bound keeps memory flat over long campaigns; a 300-seed
-# theorem1_nested campaign at n=12, m=4 needs 826 balls and misses no more
-# often than with unbounded tables.
+# Entries kept per process in each least-recently-used table, which keeps
+# memory flat over long campaigns. A 300-seed theorem1_nested campaign at
+# n=12, m=4 fills the seven tables (balls and rings here; recentred masses
+# and least centres in dynamics; gap classes, winner-pair rows and pair
+# counts in decision) to 826, 0, 3,931, 691, 826, 700 and 2,380 entries, so
+# it misses no more often than with unbounded tables; 8 pignistic runs at
+# n=1000, m=6 to 81, 0, 81, 3,772, 81, 612 and 241. A 1,200-seed campaign
+# needs 3,269 pair counts.
 LRU_SIZE = 4096
 
 L1_ADDREMOVE = "l1_addremove"
@@ -162,6 +165,8 @@ class MassFunction:
             raise ValueError("mass function needs at least one focal element")
         norm = tuple((focal, _rational(w)) for focal, w in self.assignments)
         object.__setattr__(self, "assignments", norm)
+        if len({len(focal.points[0]) for focal, _ in norm}) != 1:
+            raise ValueError("focal elements must hold scores of one length")
         # The weights as integers over their common denominator, checked and
         # aggregated in integers.
         den, numerators = _over_common_denominator(w for _, w in norm)

@@ -2,10 +2,12 @@ import copy
 import itertools
 import math
 import pickle
+import pkgutil
+import sys
 from collections import Counter
 from dataclasses import astuple, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -49,9 +51,9 @@ from credalvote import (
     product_mass,
     upper_expectation,
 )
-from credalvote import decision
-from credalvote.decision import (
-    _CLASSES, _CLIP, _PAIR_COUNTS, _PAIRS, _classes, _pair_counts)
+import credalvote
+from credalvote import decision, dynamics
+from credalvote.decision import _CLIP, _classes, _move_pairs, _pair_counts
 from credalvote.dynamics import _least_centre
 from credalvote.oracles import oracle_evaluation, raw_move_utility
 from credalvote.uncertainty import ExpansionCapError
@@ -69,6 +71,14 @@ MIXED_MASS = MassFunction((
 ))
 # The second voter of that example: prefers b, then c, then a.
 PREF_BCA = Preference((1, 2, 0))
+
+
+KERNEL_TABLES = (_classes, _move_pairs, _pair_counts)
+
+
+def clear_tables():
+    for table in KERNEL_TABLES:
+        table.cache_clear()
 
 
 def singleton_mass(s):
@@ -477,23 +487,26 @@ class TestPairCountCache:
                 assert self.evaluate(labelled).verdict == verdict
 
     def test_tables_stay_within_their_bound(self, monkeypatch):
-        def short_campaign():
-            _PAIR_COUNTS.clear()
-            _PAIRS.clear()
-            _CLASSES.clear()
+        def short_campaign(tables):
+            for table in tables:
+                table.cache_clear()
             return campaign(
                 lambda seed: family_setup(seed, THEOREM1_NESTED, 5, 4), 6)
 
-        def sizes():
-            return (len(_PAIR_COUNTS), sum(map(len, _PAIRS.values())),
-                    len(_CLASSES))
-
-        unbounded = short_campaign()
-        assert min(sizes()) > 10
-        monkeypatch.setattr(decision, "_CACHE_SIZE", 10)
-        assert short_campaign() == unbounded
-        assert max(sizes()) <= 10
-        assert len(_PAIRS) == 1  # one tie order at a time
+        unbounded = short_campaign(KERNEL_TABLES)
+        assert min(t.cache_info().currsize for t in KERNEL_TABLES) > 10
+        # Each table again with room for 10 entries, in every module that
+        # imports it, gives the same campaign.
+        tiny = [lru_cache(maxsize=10)(t.__wrapped__) for t in KERNEL_TABLES]
+        for table, small in zip(KERNEL_TABLES, tiny):
+            for info in pkgutil.iter_modules(credalvote.__path__):
+                module = sys.modules.get(f"credalvote.{info.name}")
+                if getattr(module, table.__name__, None) is table:
+                    monkeypatch.setattr(module, table.__name__, small)
+        assert decision._pair_counts is tiny[2]
+        assert dynamics._pair_counts is tiny[2]
+        assert short_campaign(tiny) == unbounded
+        assert max(t.cache_info().currsize for t in tiny) <= 10
 
     def test_out_of_range_moves_raise(self):
         # A destination missing from the table of live ones changes no
@@ -505,9 +518,7 @@ class TestPairCountCache:
         bad = [(frm, to) for frm, to in itertools.product((-1, 0, 3), repeat=2)
                if 3 in (frm, to) or -1 in (frm, to)]
         for frm, to in bad:
-            _PAIR_COUNTS.clear()
-            _PAIRS.clear()
-            _CLASSES.clear()
+            clear_tables()
             with pytest.raises(ValueError, match="out of range"):
                 evaluate_move(mass, rule, MEIR_SIGN, self.PREF_BAC, frm, to,
                               TIE3)
@@ -563,10 +574,9 @@ class TestGapClasses:
               TieBreakOrder((1, 0, 2))))
     def test_classes_count_as_the_points(self, game):
         focal, tie = game
-        _PAIR_COUNTS.clear()  # so that a failure replays on its own
-        _CLASSES.clear()
+        clear_tables()  # so that a failure replays on its own
         for frm in range(len(tie.order)):
-            assert _pair_counts(focal, frm, tie) == live_counts(
+            assert _pair_counts(focal, frm, tie.order) == live_counts(
                 focal, frm, tie), frm
 
     @given(focal_elements_and_ties(), st.data())
@@ -589,29 +599,32 @@ class TestGapClasses:
 
     @pytest.mark.parametrize("order", itertools.permutations(range(3)))
     def test_shared_pairs_are_the_points_own(self, order):
-        # Every point with entries 0-6 at m = 3, under one tie order, for
-        # every (frm, to), frm == to included: a move to its own `frm` is
-        # never looked up, and a point's table is live exactly where its
-        # winner changes.
-        tie = TieBreakOrder(order)
+        # Every point with entries 0-6 at m = 3, for every (frm, to), frm ==
+        # to included, under this tie order and its reverse in turn over the
+        # same focal elements, which the tables hold side by side: the row
+        # of each move and class of gaps, filled by the pair counts, holds
+        # every point's own pair, and a point's counts are live exactly
+        # where its winner changes.
+        ties = (TieBreakOrder(order), TieBreakOrder(order[::-1]))
         points = list(itertools.product(range(7), repeat=3))
-        _PAIRS.clear()
-        _PAIR_COUNTS.clear()
-        _CLASSES.clear()
+        clear_tables()
         focals = [FocalElement.from_points([s]) for s in points]
-        for focal, frm in itertools.product(focals, range(3)):
-            _pair_counts(focal, frm, tie)
-        pairs = _PAIRS[order]
-        for s, frm, to in itertools.product(points, range(3), range(3)):
+        for focal, frm, tie in itertools.product(focals, range(3), ties):
+            _pair_counts(focal, frm, tie.order)
+        filled = _move_pairs.cache_info().misses
+        for s, frm, to, tie in itertools.product(points, range(3), range(3),
+                                                 ties):
             top = max(s)
             gaps = tuple(min(top - x, _CLIP) for x in s)
             pair = (plurality_winner(s, tie),
                     plurality_winner(apply_move(s, frm, to), tie))
-            assert pairs.get((frm, to, gaps)) == (
-                None if frm == to else pair), (s, frm, to)
-            live = _pair_counts(FocalElement.from_points([s]), frm, tie)
+            assert _move_pairs(tie.order, frm, gaps)[to] == pair, (
+                s, frm, to, tie)
+            live = _pair_counts(FocalElement.from_points([s]), frm,
+                                tie.order)
             assert live.get(to) == (
-                None if pair[0] == pair[1] else {pair: 1}), (s, frm, to)
+                None if pair[0] == pair[1] else {pair: 1}), (s, frm, to, tie)
+        assert _move_pairs.cache_info().misses == filled
 
     @given(focal_elements_and_ties(), st.data())
     @settings(max_examples=200)
@@ -627,14 +640,12 @@ class TestGapClasses:
         second = FocalElement.from_points(
             [tuple(x + shift for x in seed)] + extra)
         assume(second != first)
-        _PAIRS.clear()
-        _PAIR_COUNTS.clear()
-        _CLASSES.clear()
-        assert ({gaps for gaps, _, _ in _classes(first)}
-                & {gaps for gaps, _, _ in _classes(second)})
+        clear_tables()
+        assert ({gaps for gaps, _ in _classes(first)}
+                & {gaps for gaps, _ in _classes(second)})
         for frm in range(m):
             for focal in (first, second):
-                assert _pair_counts(focal, frm, tie) == live_counts(
+                assert _pair_counts(focal, frm, tie.order) == live_counts(
                     focal, frm, tie), (focal, frm)
 
 
@@ -737,16 +748,16 @@ class TestSignatureKeys:
             assert signature(low, r) == signature(center, r)
             assert all(a <= b for a, b in zip(low, center))
             assert _least_centre(low, r) == low
-        _PAIR_COUNTS.clear()  # so that a failure replays on its own
+        clear_tables()  # so that a failure replays on its own
         m = len(centers[0])
         for center, frm in itertools.product(centers, range(m)):
             counts = []
             for mass in (layered_or_reject(belief, center),
                          layered_or_reject(belief, _least_centre(center, r))):
                 for focal, _ in mass.assignments:
-                    assert _pair_counts(focal, frm, tie) == live_counts(
-                        focal, frm, tie)
-                counts.append([_pair_counts(focal, frm, tie)
+                    assert _pair_counts(focal, frm, tie.order) == \
+                        live_counts(focal, frm, tie)
+                counts.append([_pair_counts(focal, frm, tie.order)
                                for focal, _ in mass.assignments])
             assert counts[0] == counts[1], (center, frm)
 

@@ -6,6 +6,7 @@ import pkgutil
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from credalvote import (
     Preference,
     STEP_LIMIT,
     STRICTLY_PREFERRED,
+    THEOREM1_NESTED,
     TieBreakOrder,
     UTILITY_MODELS,
     VoterConfig,
@@ -49,6 +51,7 @@ from credalvote import (
 )
 import credalvote
 from credalvote import uncertainty
+from credalvote.cli import main
 from credalvote.dynamics import _layered_mass, _least_centre, _strict_options
 from credalvote.oracles import oracle_equilibrium, oracle_evaluation
 from strategies import (
@@ -56,6 +59,14 @@ from strategies import (
 
 THIRD = Fraction(1, 3)
 TIE3 = TieBreakOrder.default(3)
+
+
+def package_modules():
+    """(name, module) for every module of the package but `__main__`, which
+    runs the CLI when imported."""
+    return [(info.name, importlib.import_module(f"credalvote.{info.name}"))
+            for info in pkgutil.iter_modules(credalvote.__path__)
+            if info.name != "__main__"]
 
 
 def prop_setup(max_steps=None):
@@ -113,17 +124,34 @@ class TestTemplatesAndConfigs:
 
     def test_every_module_lru_cache_is_bounded(self):
         maxsizes = {}
-        for info in pkgutil.iter_modules(credalvote.__path__):
-            if info.name == "__main__":  # importing it runs the CLI
-                continue
-            module = importlib.import_module(f"credalvote.{info.name}")
+        for module_name, module in package_modules():
             for name, value in vars(module).items():
                 if hasattr(value, "cache_parameters"):
-                    maxsizes[f"{info.name}.{name}"] = \
+                    maxsizes[f"{module_name}.{name}"] = \
                         value.cache_parameters()["maxsize"]
         assert {"dynamics._layered_mass", "dynamics._least_centre",
-                "uncertainty._ball", "uncertainty._ring"} <= set(maxsizes)
+                "uncertainty._ball", "uncertainty._ring",
+                "decision._classes", "decision._move_pairs",
+                "decision._pair_counts"} <= set(maxsizes)
         assert None not in maxsizes.values(), maxsizes
+
+    def test_no_module_container_grows(self, capsys):
+        # Every per-process table is a bounded lru_cache, so no module-level
+        # dict, list or set grows over a campaign of fresh seeds and a
+        # simulate.
+        def sizes():
+            return {f"{module_name}.{name}": len(value)
+                    for module_name, module in package_modules()
+                    for name, value in vars(module).items()
+                    if isinstance(value, (dict, list, set))
+                    and not name.startswith("__")}
+
+        before = sizes()
+        campaign(lambda seed: family_setup(seed, THEOREM1_NESTED, 7, 4), 3,
+                 base_seed=70_000)
+        assert main(["simulate", "prop1_counterexample"]) == 0
+        capsys.readouterr()
+        assert sizes() == before
 
     def test_mass_at_validates_a_cached_centre(self):
         # The recentred-mass table takes True and 1.0 for 1.
@@ -146,6 +174,28 @@ class TestTemplatesAndConfigs:
         with pytest.raises(TypeError):
             VoterConfig(preference=Preference((0, 1, 2)), belief=(1, 2),
                         rule=DecisionRule(PESSIMISTIC), utility=MEIR_SIGN)
+        # A fixed mass over 4-entry scores with a 3-candidate preference once
+        # ran, moved, and reported converged.
+        four = MassFunction(((FocalElement.from_points([(2, 1, 0, 0)]),
+                              Fraction(1)),))
+        with pytest.raises(ValueError, match="differ in candidates"):
+            VoterConfig(preference=Preference((0, 1, 2)), belief=four,
+                        rule=DecisionRule(PESSIMISTIC), utility=MEIR_SIGN)
+
+    def test_games_whose_sizes_disagree_are_refused(self):
+        # Fewer configs than ballots raised IndexError, and extra ones were
+        # ignored; so was a preference over another number of candidates
+        # than the tie order's.
+        setup = prop_setup()
+        configs = setup.configs
+        three = replace(configs[0], preference=Preference((0, 1, 2)))
+        for bad in (configs[:-1], configs + configs[:1],
+                    (three,) + configs[1:]):
+            for call in (run, equilibrium_check):
+                with pytest.raises(ValueError, match="voter configs"):
+                    call(setup.initial, bad, setup.tie)
+        assert run(setup.initial, configs, setup.tie).status == CONVERGED
+        assert equilibrium_check(setup.initial, configs, setup.tie)[0] is False
 
     def test_game_state_validation(self):
         with pytest.raises(ValueError):

@@ -119,6 +119,17 @@ def test_negative_ballots_rejected():
     assert profile.with_ballot(1, 0) == BallotProfile((0, 0, 1))
 
 
+def test_with_ballot_refuses_voters_outside_the_profile():
+    # Voter -1 once changed the last ballot, True the second one, and voter
+    # 3 raised IndexError.
+    profile = BallotProfile((0, 1, 2))
+    for voter in (-1, 3, True, 1.0):
+        with pytest.raises(ValueError, match=f"voter {voter!r} is not an "
+                                             f"index in 0..2"):
+            profile.with_ballot(voter, 0)
+    assert profile.with_ballot(2, 0) == BallotProfile((0, 1, 0))
+
+
 def test_ballots_must_be_integers():
     # 0.5 used to pass and fail later inside tally; True was candidate 1.
     for ballots in ((0.5, 1), (True, 1), ("a",)):

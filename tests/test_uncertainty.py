@@ -125,6 +125,12 @@ class TestMassFunction:
         assert MassFunction(((a, "1/4"), (b, Fraction(3, 4)))) == \
             MassFunction(((a, Fraction(1, 4)), (b, Fraction(3, 4))))
 
+    def test_focal_elements_must_share_one_length(self):
+        a = FocalElement.from_points([(1, 0, 0)])
+        b = FocalElement.from_points([(1, 0, 0, 0)])
+        with pytest.raises(ValueError, match="scores of one length"):
+            MassFunction(((a, HALF), (b, HALF)))
+
     def test_duplicate_focals_rejected_across_representations(self):
         box = FocalElement.from_box([(0, 1), (1, 2), (1, 1)], total=3)
         pts = FocalElement.from_points([(1, 1, 1), (0, 2, 1)])
