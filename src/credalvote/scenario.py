@@ -25,6 +25,7 @@ import io
 import csv
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
@@ -153,8 +154,31 @@ def _unknown_fields(raw: dict, known: frozenset[str], path: str,
     return True
 
 
+# The "p/q" strings read without `Fraction`'s regex, to the value it gives:
+# ASCII digits with an optional minus sign and an optional denominator.
+_CANONICAL_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
+def _canonical_fraction(value: str) -> Fraction | None:
+    """The value of a canonical "p/q" string, read without `Fraction`'s
+    regex; None for any other string, and for a zero denominator."""
+    canonical = _CANONICAL_RATIONAL(value)
+    if canonical is None:
+        return None
+    num, den = canonical.groups("1")
+    try:
+        num, den = int(num), int(den)
+    except ValueError:  # past int's digit limit, which `_rational` reports
+        return None
+    return Fraction(num, den) if den else None
+
+
 def _parse_fraction(value, path: str, errors: list[str]) -> Fraction | None:
-    if _is_int(value) or isinstance(value, str):
+    """`_rational(value)`, or None with the error under `path`."""
+    if isinstance(value, str) or _is_int(value):
+        fast = _canonical_fraction(value) if type(value) is str else None
+        if fast is not None:
+            return fast
         try:
             return _rational(value)
         except ValueError:
@@ -164,11 +188,16 @@ def _parse_fraction(value, path: str, errors: list[str]) -> Fraction | None:
     return None
 
 
+# The types of a list whose entries are all exact integers (bools are not).
+_INTS = frozenset({int})
+
+
 def _parse_score(value, m: int | None, path: str, errors: list[str]) -> Score | None:
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+    # `value` is decoded JSON, so `type` tells lists and ints from the rest.
+    if type(value) is not list or not set(map(type, value)) <= _INTS:
         errors.append(f"{path}: expected a list of integers")
         return None
-    if any(x < 0 for x in value):
+    if min(value, default=0) < 0:
         errors.append(f"{path}: score entries must be nonnegative")
         return None
     if m is not None and len(value) != m:
@@ -226,7 +255,8 @@ def _parse_belief(raw, m: int | None, path: str,
         errors.append(f"{path}: expected an object")
         return None
     kind = raw.get("kind")
-    known = _BELIEF_FIELDS.get(kind)
+    # A list or object kind cannot be looked up, and is reported as unknown.
+    known = _BELIEF_FIELDS.get(kind) if isinstance(kind, str) else None
     if known is not None and _unknown_fields(raw, known, path, errors):
         return None
     if kind in (NESTED, PARTITIONED):
@@ -329,32 +359,32 @@ def _parse_rule(raw, path: str, errors: list[str]) -> DecisionRule | None:
         return None
 
 
-def _parse_labels(raw, candidates: CandidateSet | None, path: str,
+def _parse_labels(raw, index: dict[str, int] | None, path: str,
                   errors: list[str]) -> tuple[int, ...] | None:
+    """The candidate indices of a list of labels; `index` maps each label to
+    its index, and is None when the candidates are invalid."""
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
         errors.append(f"{path}: expected a list of candidate labels")
         return None
-    if candidates is None:
+    if index is None:
         return None
-    out = []
-    ok = True
-    for i, label in enumerate(raw):
-        if label not in candidates.labels:
-            errors.append(f"{path}[{i}]: unknown candidate label {label!r}")
-            ok = False
-        else:
-            out.append(candidates.index(label))
-    return tuple(out) if ok else None
+    try:
+        return tuple([index[label] for label in raw])
+    except KeyError:
+        for i, label in enumerate(raw):
+            if label not in index:
+                errors.append(f"{path}[{i}]: unknown candidate label {label!r}")
+        return None
 
 
-def _parse_order(raw, candidates: CandidateSet | None, cls, path: str,
+def _parse_order(raw, index: dict[str, int] | None, cls, path: str,
                  errors: list[str]):
     """A `cls` (Preference or TieBreakOrder) listing every candidate once."""
-    order = _parse_labels(raw, candidates, path, errors)
+    order = _parse_labels(raw, index, path, errors)
     if order is None:
         return None
-    if len(order) != candidates.m:
-        errors.append(f"{path}: expected {candidates.m} labels, "
+    if len(order) != len(index):
+        errors.append(f"{path}: expected {len(index)} labels, "
                       f"got {len(order)}")
         return None
     try:
@@ -396,7 +426,8 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError(["top level must be a JSON object"])
 
-    if raw.get("format_version") != FORMAT_VERSION:
+    version = raw.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:
         errors.append(f"format_version: expected {FORMAT_VERSION}")
 
     known = {"format_version", "candidates", "tie_break", "voters",
@@ -404,7 +435,7 @@ def parse_scenario(text: str) -> Scenario:
     for key in sorted(set(raw) - known):
         errors.append(f"{key}: unknown field")
 
-    candidates = None
+    candidates = index = None
     raw_candidates = raw.get("candidates")
     if (not isinstance(raw_candidates, list)
             or not all(isinstance(x, str) for x in raw_candidates)):
@@ -412,13 +443,14 @@ def parse_scenario(text: str) -> Scenario:
     else:
         try:
             candidates = CandidateSet(tuple(raw_candidates))
+            index = {label: c for c, label in enumerate(candidates.labels)}
         except ValueError as e:
             errors.append(f"candidates: {e}")
     m = candidates.m if candidates is not None else None
 
     tie = None
     if "tie_break" in raw:
-        tie = _parse_order(raw["tie_break"], candidates, TieBreakOrder,
+        tie = _parse_order(raw["tie_break"], index, TieBreakOrder,
                            "tie_break", errors)
     elif candidates is not None:
         tie = TieBreakOrder.default(candidates.m)
@@ -442,15 +474,16 @@ def parse_scenario(text: str) -> Scenario:
             continue
         unknown = _unknown_fields(rv, _VOTER_FIELDS, path, errors)
         raw_pref = rv.get("preference")
-        # A valid preference is a list of labels, so only those are looked up.
-        pref_key = (tuple(raw_pref) if isinstance(raw_pref, list)
-                    and all(isinstance(x, str) for x in raw_pref) else None)
-        pref = prefs.get(pref_key)
+        try:
+            # A hit is a valid preference, so a list of labels.
+            pref = prefs.get(tuple(raw_pref)) if type(raw_pref) is list else None
+        except TypeError:  # an entry that cannot be hashed, so no label
+            pref = None
         if pref is None:
-            pref = _parse_order(raw_pref, candidates, Preference,
+            pref = _parse_order(raw_pref, index, Preference,
                                 f"{path}.preference", errors)
             if pref is not None:
-                prefs[pref_key] = pref
+                prefs[tuple(raw_pref)] = pref
         belief = _parse_shared(rv.get("belief"), beliefs, lambda raw: (
             _parse_belief(raw, m, f"{path}.belief", errors)))
         rule = _parse_shared(rv.get("rule"), rules, lambda raw: (
@@ -460,7 +493,8 @@ def parse_scenario(text: str) -> Scenario:
             errors.append(f"{path}.utility: unknown utility model {utility!r}, "
                           f"expected one of {list(UTILITY_MODELS)}")
             utility = None
-        if unknown or None in (pref, belief, rule, utility):
+        if (unknown or pref is None or belief is None or rule is None
+                or utility is None):
             voters.append(None)
         else:
             voters.append(VoterConfig(preference=pref, belief=belief,
@@ -469,8 +503,7 @@ def parse_scenario(text: str) -> Scenario:
     initial = None
     raw_initial = raw.get("initial_ballots", "truthful")
     if raw_initial != "truthful":
-        initial = _parse_labels(raw_initial, candidates, "initial_ballots",
-                                errors)
+        initial = _parse_labels(raw_initial, index, "initial_ballots", errors)
         if initial is not None and len(initial) != len(raw_voters):
             errors.append(f"initial_ballots: expected {len(raw_voters)} "
                           f"ballots, got {len(initial)}")
@@ -581,66 +614,96 @@ def trace_record(move: MoveRecord, candidates: CandidateSet,
         winner_after=labels[plurality_winner(move.score_after, tie)])
 
 
+class _Quoted(dict):
+    """Each label's JSON string, encoded on first use."""
+
+    def __missing__(self, label):
+        self[label] = quoted = json.dumps(label)
+        return quoted
+
+
 def emit_trace(records) -> str:
-    """Line-delimited JSON, one record per line."""
-    lines = []
-    for r in records:
-        lines.append(json.dumps({
-            "step": r.step, "voter": r.voter, "from": r.frm, "to": r.to,
-            "criterion_value": str(r.criterion_value),
-            "score_before": list(r.score_before),
-            "score_after": list(r.score_after),
-            "winner_before": r.winner_before,
-            "winner_after": r.winner_after,
-        }))
-    return "".join(line + "\n" for line in lines)
+    """Line-delimited JSON, one record per line.
+
+    Each line is what `json.dumps` writes for the record's fields in this
+    order, for records that hold the types `TraceRecord` declares.
+    """
+    quoted = _Quoted()
+    return "".join([
+        f'{{"step": {r.step}, "voter": {r.voter}, "from": {quoted[r.frm]}, '
+        f'"to": {quoted[r.to]}, "criterion_value": "{r.criterion_value!s}", '
+        f'"score_before": {list(r.score_before)}, '
+        f'"score_after": {list(r.score_after)}, '
+        f'"winner_before": {quoted[r.winner_before]}, '
+        f'"winner_after": {quoted[r.winner_after]}}}\n'
+        for r in records])
+
+
+_TRACE_LABELS = ("from", "to", "winner_before", "winner_after")
+
+
+def _parse_trace_line(raw, path: str, errors: list[str]) -> TraceRecord | None:
+    """One decoded trace line as a record, or None with its errors."""
+    if type(raw) is not dict:
+        errors.append(f"{path}: expected an object")
+        return None
+    step = raw.get("step")
+    voter = raw.get("voter")
+    if type(step) is not int or step < 0:
+        errors.append(f"{path}.step: expected a nonnegative integer")
+        return None
+    if type(voter) is not int or voter < 0:
+        errors.append(f"{path}.voter: expected a nonnegative integer")
+        return None
+    value = _parse_fraction(raw.get("criterion_value"),
+                            f"{path}.criterion_value", errors)
+    before = _parse_score(raw.get("score_before"), None,
+                          f"{path}.score_before", errors)
+    after = _parse_score(raw.get("score_after"),
+                         None if before is None else len(before),
+                         f"{path}.score_after", errors)
+    labels = []
+    for key in _TRACE_LABELS:
+        label = raw.get(key)
+        if type(label) is str:
+            labels.append(label)
+        else:
+            errors.append(f"{path}.{key}: expected a candidate label")
+    if value is None or before is None or after is None or len(labels) != 4:
+        return None
+    return TraceRecord(step, voter, labels[0], labels[1], value, before, after,
+                       labels[2], labels[3])
 
 
 def parse_trace(text: str) -> tuple[TraceRecord, ...]:
+    """The records of a trace written by `emit_trace`; every bad line is
+    reported, by its line number."""
     errors: list[str] = []
     records = []
+    # Each line is decoded alone: lines such as `1, [2` and `3]` would
+    # decode as one value when joined.
+    raw_decode = json.JSONDecoder().raw_decode
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as e:
-            errors.append(f"line {lineno}: invalid JSON: {e}")
-            continue
-        except RecursionError:
-            errors.append(f"line {lineno}: invalid JSON: nested too deeply")
-            continue
-        if not isinstance(raw, dict):
-            errors.append(f"line {lineno}: expected an object")
-            continue
-        path = f"line {lineno}"
-        step = raw.get("step")
-        voter = raw.get("voter")
-        if not _is_int(step) or step < 0:
-            errors.append(f"{path}.step: expected a nonnegative integer")
-            continue
-        if not _is_int(voter) or voter < 0:
-            errors.append(f"{path}.voter: expected a nonnegative integer")
-            continue
-        value = _parse_fraction(raw.get("criterion_value"),
-                                f"{path}.criterion_value", errors)
-        before = _parse_score(raw.get("score_before"), None,
-                              f"{path}.score_before", errors)
-        after = _parse_score(raw.get("score_after"), None,
-                             f"{path}.score_after", errors)
-        names = {}
-        for key in ("from", "to", "winner_before", "winner_after"):
-            if not isinstance(raw.get(key), str):
-                errors.append(f"{path}.{key}: expected a candidate label")
-            else:
-                names[key] = raw[key]
-        if value is None or before is None or after is None or len(names) != 4:
-            continue
-        records.append(TraceRecord(
-            step=step, voter=voter, frm=names["from"], to=names["to"],
-            criterion_value=value, score_before=before, score_after=after,
-            winner_before=names["winner_before"],
-            winner_after=names["winner_after"]))
+            raw, end = raw_decode(line)
+        except (json.JSONDecodeError, RecursionError):
+            end = -1
+        if end != len(line):
+            # Not one JSON value from the first character to the last:
+            # `json.loads` decides, and gives any error message.
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as e:
+                errors.append(f"line {lineno}: invalid JSON: {e}")
+                continue
+            except RecursionError:
+                errors.append(f"line {lineno}: invalid JSON: nested too deeply")
+                continue
+        record = _parse_trace_line(raw, f"line {lineno}", errors)
+        if record is not None:
+            records.append(record)
     if errors:
         raise ScenarioError(errors)
     return tuple(records)

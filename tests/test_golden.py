@@ -37,6 +37,7 @@ FULL_TEXT = ("simulate prop1_counterexample", "check prop1_counterexample",
              "verify example4", "campaign theorem1_nested",
              "simulate set_box_total", "simulate ball_past_cap",
              "simulate box_total_past_cap", "simulate misspelled_metric",
+             "simulate belief_kind_list", "simulate format_version_true",
              TRACE_RUN)
 STREAMS = ("stdout", "stderr", "trace")
 

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from credalvote import (
     LayeredBelief,
@@ -28,6 +29,8 @@ from credalvote import (
     summary_csv,
     trace_record,
 )
+from credalvote.scenario import TraceRecord, _parse_fraction
+from credalvote.uncertainty import _rational
 
 MINIMAL = """
 {
@@ -206,6 +209,68 @@ class TestParse:
             "voters[2].rule: alpha must lie in [0, 1]",
             "voters[3].rule: alpha must lie in [0, 1]",
             "voters[4].rule: expected an object")
+
+    @pytest.mark.parametrize("kind", [["nested"], {"kind": "nested"}])
+    def test_unhashable_belief_kind_is_unknown(self, kind):
+        belief = {"kind": kind, "radii": [1], "weights": ["1"]}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(voter_json(json.dumps(belief)))
+        assert exc.value.errors == (
+            f"voters[0].belief.kind: unknown belief kind {kind!r}, expected "
+            f"one of ['nested', 'partitioned', 'fixed_mass', 'set', "
+            f"'probability']",)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+    def test_format_version_must_be_the_integer_1(self, version):
+        raw = json.loads(MINIMAL)
+        raw["format_version"] = version
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(raw))
+        assert exc.value.errors == ("format_version: expected 1",)
+
+    # Strings near the canonical "p/q" form: signs, leading zeros, zero
+    # denominators, whitespace, underscores, decimals, exponents and
+    # non-ASCII digits, which `Fraction` reads as their values.
+    @given(st.lists(st.sampled_from(
+        ["", "-", "+", " ", "\t", "0", "00", "1", "7", "10", "_", ".", "e",
+         "E", "/", "\u0661", "\u0662", "x"]), max_size=8).map("".join))
+    @example("1/0")
+    @example("1/00")
+    @example("-0/5")
+    @example("007/010")
+    @example("-12/-4")
+    @example(" 1/2")
+    @example("1_000/3")
+    @example("0.5")
+    @example("1e3")
+    @example("\u0661/\u0662")
+    @example("1" * 5000)
+    def test_fraction_fast_path_matches_rational(self, text):
+        try:
+            expected, expected_errors = _rational(text), []
+        except ValueError:
+            expected, expected_errors = None, [
+                f"x: not a rational number: {text!r}"]
+        errors = []
+        value = _parse_fraction(text, "x", errors)
+        assert (value, errors) == (expected, expected_errors)
+        assert value is None or type(value) is Fraction
+
+    def test_unhashable_labels_and_bad_points_refused(self):
+        raw = json.loads(MINIMAL)
+        voter = raw["voters"][0]
+        voter["preference"] = [["a"], "b", "c"]
+        raw["voters"].append(dict(voter, preference=["a", "b", "c"], belief={
+            "kind": "set", "focal": {"points": [[-1, 2, 0], [1, True, 0]]}}))
+        raw["initial_ballots"] = [{"a": 1}, "b"]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(raw))
+        assert exc.value.errors == (
+            "voters[0].preference: expected a list of candidate labels",
+            "voters[1].belief.focal.points[0]: score entries must be "
+            "nonnegative",
+            "voters[1].belief.focal.points[1]: expected a list of integers",
+            "initial_ballots: expected a list of candidate labels")
 
     def test_minimal_defaults(self):
         scenario = parse_scenario(MINIMAL)
@@ -407,19 +472,94 @@ class TestTrace:
         assert first.score_after == (1, 3, 3, 3)
         assert (first.winner_before, first.winner_after) == ("c", "b")
 
+    def test_emit_writes_what_json_dumps_writes(self):
+        # Labels that JSON escapes: a quote, a backslash, a non-ASCII
+        # letter, the line separator (which splitlines would split on) and
+        # a control character.
+        labels = ['"', "\\", "\u00e9", "\u2028", "\x01"]
+        records = [
+            TraceRecord(step=i, voter=2 * i, frm=labels[i],
+                        to=labels[(i + 1) % 5], criterion_value=value,
+                        score_before=(i, 0, 3), score_after=(i, 1, 2),
+                        winner_before=labels[(i + 2) % 5],
+                        winner_after=labels[(i + 3) % 5])
+            for i, value in enumerate((Fraction(1, 3), Fraction(-2, 7),
+                                       Fraction(0), Fraction(5), Fraction(1)))]
+        text = emit_trace(records)
+        assert text == "".join(json.dumps({
+            "step": r.step, "voter": r.voter, "from": r.frm, "to": r.to,
+            "criterion_value": str(r.criterion_value),
+            "score_before": list(r.score_before),
+            "score_after": list(r.score_after),
+            "winner_before": r.winner_before,
+            "winner_after": r.winner_after}) + "\n" for r in records)
+        assert len(text.splitlines()) == len(records)
+        assert parse_trace(text) == tuple(records)
+
     def test_blank_lines_skipped(self):
         records = self.make_records()
         padded = "\n" + emit_trace(records).replace("\n", "\n\n")
         assert parse_trace(padded) == tuple(records)
+        # Whitespace around a line's object is JSON's, so the line is valid.
+        spaced = emit_trace(records).replace("\n", " \n\t")
+        assert parse_trace(spaced) == tuple(records)
 
     def test_errors_carry_line_numbers(self):
+        # `1, [2` and `3]` are each invalid, though joined they would decode
+        # as one array.
         bad = ('{"step": 0}\n'
-               'not json\n')
+               'not json\n'
+               '1, [2\n'
+               '3]\n'
+               '\ufeff{}\n')
         with pytest.raises(ScenarioError) as exc:
             parse_trace(bad)
-        text = "\n".join(exc.value.errors)
-        assert "line 1.voter" in text
-        assert "line 2: invalid JSON" in text
+        assert exc.value.errors == (
+            "line 1.voter: expected a nonnegative integer",
+            "line 2: invalid JSON: Expecting value: line 1 column 1 (char 0)",
+            "line 3: invalid JSON: Extra data: line 1 column 2 (char 1)",
+            "line 4: invalid JSON: Extra data: line 1 column 2 (char 1)",
+            "line 5: invalid JSON: Unexpected UTF-8 BOM (decode using "
+            "utf-8-sig): line 1 column 1 (char 0)")
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("step", True, "step: expected a nonnegative integer"),
+        ("step", -1, "step: expected a nonnegative integer"),
+        ("voter", -1, "voter: expected a nonnegative integer"),
+        ("voter", "0", "voter: expected a nonnegative integer"),
+        ("criterion_value", "1/0", "criterion_value: not a rational number: "
+                                   "'1/0'"),
+        ("criterion_value", 0.5, 'criterion_value: rationals must be "p/q" '
+                                 'strings or integers'),
+        ("score_before", [-1, 2, 3, 3], "score_before: score entries must be "
+                                        "nonnegative"),
+        ("score_after", [1, True, 3, 3], "score_after: expected a list of "
+                                         "integers"),
+        ("to", 1, "to: expected a candidate label"),
+        ("winner_after", None, "winner_after: expected a candidate label"),
+    ])
+    def test_each_field_is_checked(self, field, value, error):
+        line = json.loads(emit_trace(self.make_records()[:1]))
+        line[field] = value
+        with pytest.raises(ScenarioError) as exc:
+            parse_trace(json.dumps(line))
+        assert exc.value.errors == (f"line 1.{error}",)
+
+    def test_noncanonical_rationals_read_as_fraction_does(self):
+        first = self.make_records()[0]
+        line = json.loads(emit_trace([first]))
+        for text in ("+1/3", " 2/6 ", "\u0661/\u0663", 1):
+            line["criterion_value"] = text
+            value = parse_trace(json.dumps(line))[0].criterion_value
+            assert value == Fraction(text) and type(value) is Fraction
+
+    def test_score_lengths_must_agree(self):
+        line = json.loads(emit_trace(self.make_records()[:1]))
+        line["score_after"] = line["score_after"][:3]
+        with pytest.raises(ScenarioError) as exc:
+            parse_trace(json.dumps(line))
+        assert exc.value.errors == (
+            "line 1.score_after: expected 4 entries, got 3",)
 
     def test_exponent_criterion_value_refused(self):
         line = emit_trace(self.make_records()[:1])
