@@ -28,9 +28,6 @@ class CandidateSet:
     def m(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 @dataclass(frozen=True)
 class TieBreakOrder:

@@ -140,10 +140,6 @@ class TraceRecord:
     winner_after: str
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _unknown_fields(raw: dict, known: frozenset[str], path: str,
                     errors: list[str]) -> bool:
     """Report each key of `raw` outside `known`; True when there is one."""
@@ -152,6 +148,15 @@ def _unknown_fields(raw: dict, known: frozenset[str], path: str,
     for key in sorted(raw.keys() - known):
         errors.append(f"{path}.{key}: unknown field")
     return True
+
+
+def _built(path: str, errors: list[str], build, *args):
+    """`build(*args)`, or None with its `ValueError` reported under `path`."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        errors.append(f"{path}: {e}")
+        return None
 
 
 # The "p/q" strings read without `Fraction`'s regex, to the value it gives:
@@ -175,7 +180,7 @@ def _canonical_fraction(value: str) -> Fraction | None:
 
 def _parse_fraction(value, path: str, errors: list[str]) -> Fraction | None:
     """`_rational(value)`, or None with the error under `path`."""
-    if isinstance(value, str) or _is_int(value):
+    if isinstance(value, str) or type(value) is int:
         fast = _canonical_fraction(value) if type(value) is str else None
         if fast is not None:
             return fast
@@ -219,34 +224,30 @@ def _parse_focal(raw, m: int | None, path: str,
     if _unknown_fields(raw, _POINTS_FIELDS if has_points else _BOX_FIELDS,
                        path, errors):
         return None
-    try:
-        if has_points:
-            pts = raw["points"]
-            if not isinstance(pts, list) or not pts:
-                errors.append(f"{path}.points: expected a nonempty list")
-                return None
-            scores = [_parse_score(p, m, f"{path}.points[{i}]", errors)
-                      for i, p in enumerate(pts)]
-            if any(s is None for s in scores):
-                return None
-            return FocalElement.from_points(scores)
-        box = raw["box"]
-        if (not isinstance(box, list)
-                or not all(isinstance(iv, list) and len(iv) == 2
-                           and all(_is_int(x) for x in iv) for iv in box)):
-            errors.append(f"{path}.box: expected a list of [lo, hi] pairs")
+    if has_points:
+        pts = raw["points"]
+        if not isinstance(pts, list) or not pts:
+            errors.append(f"{path}.points: expected a nonempty list")
             return None
-        if m is not None and len(box) != m:
-            errors.append(f"{path}.box: expected {m} intervals, got {len(box)}")
+        scores = [_parse_score(p, m, f"{path}.points[{i}]", errors)
+                  for i, p in enumerate(pts)]
+        if any(s is None for s in scores):
             return None
-        total = raw.get("total")
-        if total is not None and not _is_int(total):
-            errors.append(f"{path}.total: expected an integer")
-            return None
-        return FocalElement.from_box(box, total)
-    except ValueError as e:
-        errors.append(f"{path}: {e}")
+        return _built(path, errors, FocalElement.from_points, scores)
+    box = raw["box"]
+    if (not isinstance(box, list)
+            or not all(isinstance(iv, list) and len(iv) == 2
+                       and all(type(x) is int for x in iv) for iv in box)):
+        errors.append(f"{path}.box: expected a list of [lo, hi] pairs")
         return None
+    if m is not None and len(box) != m:
+        errors.append(f"{path}.box: expected {m} intervals, got {len(box)}")
+        return None
+    total = raw.get("total")
+    if total is not None and type(total) is not int:
+        errors.append(f"{path}.total: expected an integer")
+        return None
+    return _built(path, errors, FocalElement.from_box, box, total)
 
 
 def _parse_belief(raw, m: int | None, path: str,
@@ -267,7 +268,7 @@ def _parse_belief(raw, m: int | None, path: str,
             return None
         radii = raw.get("radii")
         if (not isinstance(radii, list) or not radii
-                or not all(_is_int(r) for r in radii)):
+                or not all(type(r) is int for r in radii)):
             errors.append(f"{path}.radii: expected a nonempty list of integers")
             return None
         raw_weights = raw.get("weights")
@@ -278,12 +279,8 @@ def _parse_belief(raw, m: int | None, path: str,
                    for i, w in enumerate(raw_weights)]
         if any(w is None for w in weights):
             return None
-        try:
-            return LayeredBelief(kind=kind, radii=tuple(radii),
-                                 weights=tuple(weights), metric=metric)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
-            return None
+        return _built(path, errors, LayeredBelief, kind, tuple(radii),
+                      tuple(weights), metric)
     if kind == "fixed_mass":
         assignments = raw.get("assignments")
         if not isinstance(assignments, list) or not assignments:
@@ -329,11 +326,7 @@ def _parse_belief(raw, m: int | None, path: str,
         errors.append(f"{path}.kind: unknown belief kind {kind!r}, expected one "
                       f"of ['nested', 'partitioned', 'fixed_mass', 'set', 'probability']")
         return None
-    try:
-        return MassFunction(tuple(pairs))
-    except ValueError as e:
-        errors.append(f"{path}: {e}")
-        return None
+    return _built(path, errors, MassFunction, tuple(pairs))
 
 
 def _parse_rule(raw, path: str, errors: list[str]) -> DecisionRule | None:
@@ -352,11 +345,7 @@ def _parse_rule(raw, path: str, errors: list[str]) -> DecisionRule | None:
         alpha = _parse_fraction(raw["alpha"], f"{path}.alpha", errors)
         if alpha is None:
             return None
-    try:
-        return DecisionRule(kind=kind, alpha=alpha)
-    except ValueError as e:
-        errors.append(f"{path}: {e}")
-        return None
+    return _built(path, errors, DecisionRule, kind, alpha)
 
 
 def _parse_labels(raw, index: dict[str, int] | None, path: str,
@@ -387,30 +376,18 @@ def _parse_order(raw, index: dict[str, int] | None, cls, path: str,
         errors.append(f"{path}: expected {len(index)} labels, "
                       f"got {len(order)}")
         return None
-    try:
-        return cls(order)
-    except ValueError as e:
-        errors.append(f"{path}: {e}")
-        return None
+    return _built(path, errors, cls, order)
 
 
-def _parse_shared(raw, tables: tuple[dict, dict], parse):
-    """`parse(raw)`, shared by equal raw values through `tables`.
-
-    Looked up by repr first, which is cheaper than the key-order-free JSON
-    form that equal values written in another key order share. A value
-    that `parse` refuses (None) is not kept.
-    """
-    by_repr, by_json = tables
-    fast_key = repr(raw)
-    value = by_repr.get(fast_key)
+def _parse_shared(raw, table: dict, parse):
+    """`parse(raw)`, shared through `table` by raw values written the same
+    way (equal reprs). A value that `parse` refuses (None) is not kept."""
+    key = repr(raw)
+    value = table.get(key)
     if value is None:
-        key = json.dumps(raw, sort_keys=True)
-        value = by_json.get(key)
-        if value is None:
-            value = parse(raw)
+        value = parse(raw)
         if value is not None:
-            by_json[key] = by_repr[fast_key] = value
+            table[key] = value
     return value
 
 
@@ -427,7 +404,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(["top level must be a JSON object"])
 
     version = raw.get("format_version")
-    if not _is_int(version) or version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         errors.append(f"format_version: expected {FORMAT_VERSION}")
 
     known = {"format_version", "candidates", "tie_break", "voters",
@@ -435,18 +412,17 @@ def parse_scenario(text: str) -> Scenario:
     for key in sorted(set(raw) - known):
         errors.append(f"{key}: unknown field")
 
-    candidates = index = None
+    candidates = index = m = None
     raw_candidates = raw.get("candidates")
     if (not isinstance(raw_candidates, list)
             or not all(isinstance(x, str) for x in raw_candidates)):
         errors.append("candidates: expected a list of labels")
     else:
-        try:
-            candidates = CandidateSet(tuple(raw_candidates))
-            index = {label: c for c, label in enumerate(candidates.labels)}
-        except ValueError as e:
-            errors.append(f"candidates: {e}")
-    m = candidates.m if candidates is not None else None
+        candidates = _built("candidates", errors, CandidateSet,
+                            tuple(raw_candidates))
+    if candidates is not None:
+        index = {label: c for c, label in enumerate(candidates.labels)}
+        m = candidates.m
 
     tie = None
     if "tie_break" in raw:
@@ -456,11 +432,11 @@ def parse_scenario(text: str) -> Scenario:
         tie = TieBreakOrder.default(candidates.m)
 
     voters: list[VoterConfig | None] = []
-    # Equal preferences, beliefs and rules are parsed once and shared. Only
-    # valid ones are kept, so every voter with an invalid one gets errors
-    # under its own path.
-    beliefs: tuple[dict, dict] = ({}, {})
-    rules: tuple[dict, dict] = ({}, {})
+    # Preferences, beliefs and rules written the same way are parsed once
+    # and shared. Only valid ones are kept, so every voter with an invalid
+    # one gets errors under its own path.
+    beliefs: dict[str, LayeredBelief | MassFunction] = {}
+    rules: dict[str, DecisionRule] = {}
     prefs: dict[tuple[str, ...], Preference] = {}
     raw_voters = raw.get("voters")
     if not isinstance(raw_voters, list) or not raw_voters:
@@ -517,14 +493,15 @@ def parse_scenario(text: str) -> Scenario:
         else:
             _unknown_fields(sched, _SCHEDULER_FIELDS, "scheduler", errors)
             if "max_steps" in sched:
-                if not _is_int(sched["max_steps"]) or sched["max_steps"] < 1:
+                if (type(sched["max_steps"]) is not int
+                        or sched["max_steps"] < 1):
                     errors.append("scheduler.max_steps: expected a positive "
                                   "integer")
                 else:
                     max_steps = sched["max_steps"]
 
     seed = raw.get("seed")
-    if seed is not None and not _is_int(seed):
+    if seed is not None and type(seed) is not int:
         errors.append("seed: expected an integer")
         seed = None
 
@@ -682,25 +659,17 @@ def parse_trace(text: str) -> tuple[TraceRecord, ...]:
     records = []
     # Each line is decoded alone: lines such as `1, [2` and `3]` would
     # decode as one value when joined.
-    raw_decode = json.JSONDecoder().raw_decode
     for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
         try:
-            raw, end = raw_decode(line)
-        except (json.JSONDecodeError, RecursionError):
-            end = -1
-        if end != len(line):
-            # Not one JSON value from the first character to the last:
-            # `json.loads` decides, and gives any error message.
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as e:
-                errors.append(f"line {lineno}: invalid JSON: {e}")
-                continue
-            except RecursionError:
-                errors.append(f"line {lineno}: invalid JSON: nested too deeply")
-                continue
+            raw = json.loads(line)
+        except json.JSONDecodeError as e:
+            errors.append(f"line {lineno}: invalid JSON: {e}")
+            continue
+        except RecursionError:
+            errors.append(f"line {lineno}: invalid JSON: nested too deeply")
+            continue
         record = _parse_trace_line(raw, f"line {lineno}", errors)
         if record is not None:
             records.append(record)

@@ -109,7 +109,7 @@ def test_criterion_1_hesitating_voter_evaluation():
     setup = scenario_to_setup(scenario)
     voter = scenario.voters[1]
     frm = setup.initial.profile.ballots[1]
-    to = scenario.candidates.index("c")
+    to = scenario.candidates.labels.index("c")
     out = evaluate_move(voter.belief, voter.rule, voter.utility,
                         voter.preference, frm, to, scenario.tie)
     if out.lower != 0:

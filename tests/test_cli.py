@@ -8,6 +8,7 @@ import pytest
 
 from credalvote import parse_scenario, parse_trace
 from credalvote.cli import main
+from credalvote.oracles import oracle_evaluation
 from credalvote.scenario import (
     MEIR_R0,
     PIGNISTIC_UNIFORM,
@@ -17,6 +18,7 @@ from credalvote.scenario import (
     scenario_to_setup,
 )
 
+from test_acceptance import CONTESTED_RACE
 from test_scenario import DEEP_JSON, PARTIAL_PREFERENCE
 
 
@@ -26,6 +28,11 @@ def fake_family_setup(seed, family, n, m):
     setup = scenario_to_setup(scenario)
     return type(setup)(initial=setup.initial, configs=setup.configs,
                        tie=setup.tie, max_steps=1)
+
+
+def cycling_family_setup(seed, family, n, m):
+    """Stand-in generator whose runs always end in a cycle of length 4."""
+    return scenario_to_setup(parse_scenario(CONTESTED_RACE))
 
 
 class TestSimulate:
@@ -126,6 +133,22 @@ class TestVerify:
         assert all(line.startswith("ok: ") for line in moves)
         assert not any("skipped" in line for line in lines)
 
+    def test_a_disagreement_fails_with_exit_2(self, capsys, monkeypatch):
+        # The oracle is made to disagree on the first move it checks.
+        calls = []
+
+        def wrong_once(*args):
+            calls.append(args)
+            return None if len(calls) == 1 else oracle_evaluation(*args)
+
+        monkeypatch.setattr("credalvote.cli.oracle_evaluation", wrong_once)
+        assert main(["verify", "example4"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not line.startswith("ok: ")] == [
+            "MISMATCH: voter 0: move a->b evaluation agrees",
+            "1 mismatch(es)"]
+        assert len(calls) == 6
+
 
 class TestCampaign:
     def test_csv_and_exit_zero(self, capsys):
@@ -170,6 +193,19 @@ class TestCampaign:
         assert "asserts convergence; run failed" in captured.err
         assert all(row.split(",")[1] == "step_limit"
                    for row in captured.out.strip().splitlines()[1:])
+        monkeypatch.setattr("credalvote.cli.family_setup",
+                            cycling_family_setup)
+        assert main(["campaign", "--family", THEOREM1_NESTED,
+                     "--count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ("seed,status,steps,cycle_len\r\n"
+                                "0,cycle,7,4\r\n")
+        assert captured.err == (
+            "convergence_rate: 0 (0.0000)\n"
+            "max_steps_observed: 7\n"
+            "cycles: 1\n"
+            "cycle at seed 0: length 4\n"
+            "family 'theorem1_nested' asserts convergence; run failed\n")
 
     def test_observational_family_tolerates_nonconvergence(self, capsys,
                                                            monkeypatch):

@@ -27,7 +27,7 @@ def test_candidate_set_needs_more_than_two():
     with pytest.raises(ValueError):
         CandidateSet(("a", "b", "a"))
     assert ABC.m == 3
-    assert ABC.index("c") == 2
+    assert ABC.labels.index("c") == 2
 
 
 def test_tie_break_validation():

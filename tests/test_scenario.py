@@ -66,6 +66,8 @@ PARTIAL_PREFERENCE = """
 # Deeper than the JSON decoder's recursion limit.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
+MINIMAL_VOTER = json.loads(MINIMAL)["voters"][0]
+
 FIXTURES = ("example4", "prop1_counterexample", "equilibrium")
 
 
@@ -94,12 +96,16 @@ def two_voters(first_belief, second_belief):
 
 class TestParse:
     def test_equal_beliefs_are_parsed_once(self):
+        # Beliefs written the same way share one parse; one written with its
+        # keys in another order is parsed again, to an equal belief.
         for belief in ({"kind": "nested", "radii": [1, 2],
                         "weights": ["1/2", "1/2"]},
                        {"kind": "set", "focal": {"points": [[1, 0, 0]]}}):
+            voters = parse_scenario(two_voters(belief, dict(belief))).voters
+            assert voters[0].belief is voters[1].belief
             reordered = dict(reversed(belief.items()))
             voters = parse_scenario(two_voters(belief, reordered)).voters
-            assert voters[0].belief is voters[1].belief
+            assert voters[0].belief == voters[1].belief
 
     def test_equal_invalid_beliefs_each_report(self):
         belief = {"kind": "nested", "radii": [2, 1], "weights": ["1/2", "1/2"]}
@@ -109,36 +115,126 @@ class TestParse:
             f"voters[{i}].belief: radii must be strictly increasing"
             for i in (0, 1))
 
+    # Each refusal's message, under the path of the voter's belief. The
+    # test id is the message's path.
     @pytest.mark.parametrize("belief, error", [
         ({"kind": "nested", "radii": [1], "weights": ["1"],
-          "metrc": "voter_swap"}, "belief.metrc"),
+          "metrc": "voter_swap"}, "belief.metrc: unknown field"),
         ({"kind": "partitioned", "radii": [0, 1], "weights": ["1/2", "1/2"],
-          "radius": 1}, "belief.radius"),
+          "radius": 1}, "belief.radius: unknown field"),
         ({"kind": "fixed_mass", "assignments": [], "weights": ["1"]},
-         "belief.weights"),
+         "belief.weights: unknown field"),
         ({"kind": "fixed_mass", "assignments": [
             {"focal": {"points": [[1, 0, 0]]}, "weight": "1", "wieght": 1}]},
-         "belief.assignments[0].wieght"),
+         "belief.assignments[0].wieght: unknown field"),
         ({"kind": "set", "focal": {"points": [[1, 0, 0]], "pts": []}},
-         "belief.focal.pts"),
+         "belief.focal.pts: unknown field"),
         # Only a box takes a total.
         ({"kind": "set", "focal": {"points": [[1, 0, 0]], "total": 1}},
-         "belief.focal.total"),
+         "belief.focal.total: unknown field"),
         ({"kind": "set", "focal": {"box": [[1, 1], [0, 0], [0, 0]],
-                                   "totl": 1}}, "belief.focal.totl"),
+                                   "totl": 1}}, "belief.focal.totl: unknown field"),
         ({"kind": "set", "focal": {"points": [[1, 0, 0]]}, "total": 1},
-         "belief.total"),
+         "belief.total: unknown field"),
         ({"kind": "probability",
           "support": [{"score": [1, 0, 0], "prob": "1", "p": "1"}]},
-         "belief.support[0].p"),
-    ])
+         "belief.support[0].p: unknown field"),
+        ({"kind": "set", "focal": [[1, 0, 0]]},
+         "belief.focal: expected an object with points or box"),
+        ({"kind": "set", "focal": {}},
+         "belief.focal: needs exactly one of points or box"),
+        ({"kind": "set", "focal": {"points": [[1, 0, 0]],
+                                   "box": [[0, 1]] * 3}},
+         "belief.focal: needs exactly one of points or box"),
+        ({"kind": "set", "focal": {"points": []}},
+         "belief.focal.points: expected a nonempty list"),
+        ({"kind": "set", "focal": {"box": [[0, 1], [0], [0, 1]]}},
+         "belief.focal.box: expected a list of [lo, hi] pairs"),
+        ({"kind": "set", "focal": {"box": [[0, 1], [0, True], [0, 1]]}},
+         "belief.focal.box: expected a list of [lo, hi] pairs"),
+        ({"kind": "set", "focal": {"box": [[0, 1], [0, 1]]}},
+         "belief.focal.box: expected 3 intervals, got 2"),
+        ({"kind": "set", "focal": {"box": [[0, 1]] * 3, "total": True}},
+         "belief.focal.total: expected an integer"),
+        ({"kind": "set", "focal": {"box": [[1, 0], [0, 1], [0, 1]]}},
+         "belief.focal: box intervals need 0 <= lo <= hi"),
+        ({"kind": "set", "focal": {"box": [[0, 1]] * 3, "total": 4}},
+         "belief.focal: box with total constraint is empty"),
+        ("nested", "belief: expected an object"),
+        ({"kind": "nested", "radii": [], "weights": ["1"]},
+         "belief.radii: expected a nonempty list of integers"),
+        ({"kind": "nested", "radii": [True], "weights": ["1"]},
+         "belief.radii: expected a nonempty list of integers"),
+        ({"kind": "nested", "radii": [1], "weights": []},
+         "belief.weights: expected a nonempty list"),
+        ({"kind": "nested", "radii": [-1], "weights": ["1"]},
+         "belief: radii must be nonnegative"),
+        ({"kind": "nested", "radii": [1, 2], "weights": ["1"]},
+         "belief: need one weight per radius"),
+        ({"kind": "nested", "radii": [1, 2], "weights": ["3/2", "-1/2"]},
+         "belief: layer weights must be positive"),
+        ({"kind": "fixed_mass", "assignments": []},
+         "belief.assignments: expected a nonempty list"),
+        ({"kind": "fixed_mass", "assignments": [1]},
+         "belief.assignments[0]: expected an object"),
+        ({"kind": "fixed_mass", "assignments": [{"focal": 1, "weight": "1"}]},
+         "belief.assignments[0].focal: expected an object with points or box"),
+        ({"kind": "fixed_mass", "assignments": [
+            {"focal": {"points": [[1, 0, 0]]}, "weight": "1/2"}]},
+         "belief: mass weights must sum to exactly 1"),
+        ({"kind": "probability", "support": []},
+         "belief.support: expected a nonempty list"),
+        ({"kind": "probability", "support": ["x"]},
+         "belief.support[0]: expected an object"),
+        ({"kind": "probability", "support": [{"score": [1, 0], "prob": "1"}]},
+         "belief.support[0].score: expected 3 entries, got 2"),
+    ], ids=lambda value: value.split(":")[0] if type(value) is str else None)
     def test_unknown_belief_fields_refused(self, belief, error):
-        # Equal beliefs with an unknown field each report under their own
-        # voter, like every other invalid belief.
+        # Equal invalid beliefs each report under their own voter.
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(two_voters(belief, belief))
         assert exc.value.errors == tuple(
-            f"voters[{i}].{error}: unknown field" for i in (0, 1))
+            f"voters[{i}].{error}" for i in (0, 1))
+
+    # Whole-scenario refusals: each edit to MINIMAL and every error it gives.
+    @pytest.mark.parametrize("edit, errors", [
+        ({"candidates": "abc"}, ("candidates: expected a list of labels",)),
+        ({"voters": []}, ("voters: expected a nonempty list",)),
+        ({"voters": [1]}, ("voters[0]: expected an object",)),
+        ({"scheduler": 5}, ("scheduler: expected an object",)),
+        ({"family": "mystery"}, (
+            "family: unknown family 'mystery', expected one of "
+            "['theorem1_nested', 'theorem1_partitioned', 'theorem2_hurwicz', "
+            "'pignistic_uniform', 'meir_r0']",)),
+        ({"voters": [dict(MINIMAL_VOTER, preference=["b", "b", "c"])]}, (
+            "voters[0].preference: ranking must be a permutation of 0..m-1",)),
+        ({"tie_break": ["a", "c", "c"]}, (
+            "tie_break: tie-break order must be a permutation of 0..m-1",)),
+        # A theorem family checks only the voters that parsed.
+        ({"family": "theorem1_nested",
+          "voters": [MINIMAL_VOTER, dict(MINIMAL_VOTER, utility="vibes")]}, (
+            "voters[1].utility: unknown utility model 'vibes', expected one "
+            "of ['meir_sign', 'direct_best_response', 'cardinal_rank']",)),
+        # Without valid candidates no score length is known, so scores of
+        # two lengths reach the constructors.
+        ({"candidates": ["a", "b"], "voters": [dict(MINIMAL_VOTER, belief={
+            "kind": "set", "focal": {"points": [[1, 0], [1, 0, 0]]}})]}, (
+            "candidates: need more than two candidates",
+            "voters[0].belief.focal: focal points must share one length")),
+        ({"candidates": ["a", "b"], "voters": [dict(MINIMAL_VOTER, belief={
+            "kind": "probability", "support": [
+                {"score": [1, 0], "prob": "1/2"},
+                {"score": [1, 0, 0], "prob": "1/2"}]})]}, (
+            "candidates: need more than two candidates",
+            "voters[0].belief: focal elements must hold scores of one "
+            "length")),
+    ], ids=lambda value: value[0].split(":")[0] if type(value) is tuple
+        else None)
+    def test_scenario_refusals(self, edit, errors):
+        raw = dict(json.loads(MINIMAL), **edit)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(raw))
+        assert exc.value.errors == errors
 
     def test_unknown_voter_and_rule_fields_refused(self):
         raw = json.loads(MINIMAL)
@@ -182,14 +278,16 @@ class TestParse:
     def test_equal_rules_are_parsed_once(self):
         voters = json.loads(MINIMAL)["voters"]
         hurwicz = {"kind": "hurwicz", "alpha": "1/2"}
-        # The last voter writes the first one's rule in another key order.
+        # The last voter writes the first one's rule in another key order,
+        # so it gets an equal rule of its own.
         rules = [hurwicz, {"kind": "pessimistic"}, dict(hurwicz),
                  {"alpha": "1/2", "kind": "hurwicz"}]
         text = json.dumps({
             "format_version": 1, "candidates": ["a", "b", "c"],
             "voters": [dict(voters[0], rule=r) for r in rules]})
         parsed = [v.rule for v in parse_scenario(text).voters]
-        assert parsed[0] is parsed[2] is parsed[3]
+        assert parsed[0] is parsed[2]
+        assert parsed[3] == parsed[0]
         assert parsed[0].alpha == Fraction(1, 2)
         assert parsed[1].kind == PESSIMISTIC
 
@@ -511,7 +609,8 @@ class TestTrace:
                'not json\n'
                '1, [2\n'
                '3]\n'
-               '\ufeff{}\n')
+               '\ufeff{}\n'
+               '[1]\n')
         with pytest.raises(ScenarioError) as exc:
             parse_trace(bad)
         assert exc.value.errors == (
@@ -520,7 +619,8 @@ class TestTrace:
             "line 3: invalid JSON: Extra data: line 1 column 2 (char 1)",
             "line 4: invalid JSON: Extra data: line 1 column 2 (char 1)",
             "line 5: invalid JSON: Unexpected UTF-8 BOM (decode using "
-            "utf-8-sig): line 1 column 1 (char 0)")
+            "utf-8-sig): line 1 column 1 (char 0)",
+            "line 6: expected an object")
 
     @pytest.mark.parametrize("field, value, error", [
         ("step", True, "step: expected a nonnegative integer"),
