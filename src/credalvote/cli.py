@@ -107,20 +107,22 @@ def _cmd_verify(args) -> int:
 
     mismatches = 0
 
-    def report(ok: bool, what: str) -> None:
+    def report(ok: bool, what: str, detail: str = "") -> None:
         nonlocal mismatches
-        if not ok:
+        if ok:
+            print(f"ok: {what} agrees{detail}")
+        else:
             mismatches += 1
-        print(f"{'ok' if ok else 'MISMATCH'}: {what}")
+            print(f"MISMATCH: {what} disagrees{detail}")
 
     stable, _ = equilibrium_check(state, configs, tie)
     report(stable == oracle_equilibrium(state, configs, tie),
-           f"equilibrium check agrees (equilibrium={str(stable).lower()})")
+           "equilibrium check", f" (equilibrium={str(stable).lower()})")
 
     for i, config in enumerate(configs):
         mass = config.mass_at(broadcast)
         report(pignistic(mass) == oracle_pignistic(mass),
-               f"voter {i}: pignistic transform agrees")
+               f"voter {i}: pignistic transform")
         frm = state.profile.ballots[i]
         for to in range(m):
             if to == frm:
@@ -128,8 +130,7 @@ def _cmd_verify(args) -> int:
             fast = evaluate_move(mass, config.rule, config.utility,
                                  config.preference, frm, to, tie)
             report(fast == oracle_evaluation(mass, config, frm, to, tie),
-                   f"voter {i}: move {labels[frm]}->{labels[to]} "
-                   f"evaluation agrees")
+                   f"voter {i}: move {labels[frm]}->{labels[to]} evaluation")
 
     if mismatches:
         print(f"{mismatches} mismatch(es)")

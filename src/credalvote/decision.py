@@ -89,7 +89,9 @@ class MoveEvaluation:
                  num_den: int) -> "MoveEvaluation":
         """A record of lower / den <= upper / den, pignistic value
         pig / (den * pig_den) (None when pig is None) and criterion value
-        num / num_den, whose Fractions are built when first read."""
+        num / num_den, whose Fractions are built when first read. Unchecked,
+        since the scan builds one per live destination and reads at most
+        one."""
         # Only a strict verdict's criterion value is ever read in a run, so
         # the value fields stay out of the __dict__ until __getattr__ fills
         # them; the public constructor's check holds by construction.

@@ -37,7 +37,8 @@ class TieBreakOrder:
 
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
-        if sorted(self.order) != list(range(len(self.order))):
+        if (any(type(c) is not int for c in self.order)
+                or sorted(self.order) != list(range(len(self.order)))):
             raise ValueError("tie-break order must be a permutation of 0..m-1")
 
     @classmethod
@@ -56,7 +57,8 @@ class Preference:
     ranking: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.ranking) != list(range(len(self.ranking))):
+        if (any(type(c) is not int for c in self.ranking)
+                or sorted(self.ranking) != list(range(len(self.ranking)))):
             raise ValueError("ranking must be a permutation of 0..m-1")
         rank = [0] * len(self.ranking)
         for position, candidate in enumerate(self.ranking):
@@ -107,7 +109,9 @@ class BallotProfile:
         return len(self.ballots)
 
     def with_ballot(self, voter: int, candidate: int) -> "BallotProfile":
-        """This profile with one ballot changed; only that ballot is checked."""
+        """This profile with one ballot changed; only that ballot is checked,
+        since a run makes one profile per move and checking all n ballots
+        would cost O(n) each time."""
         if type(candidate) is not int or candidate < 0:
             raise ValueError("ballots must be candidate indices")
         if type(voter) is not int or not 0 <= voter < self.n:

@@ -24,10 +24,11 @@ from __future__ import annotations
 import io
 import csv
 import json
+import math
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib.resources import files
 
 from .decision import (
@@ -59,6 +60,7 @@ from .election import (
 )
 from .uncertainty import (
     L1_ADDREMOVE,
+    LRU_SIZE,
     METRICS,
     NESTED,
     PARTITIONED,
@@ -159,31 +161,9 @@ def _built(path: str, errors: list[str], build, *args):
         return None
 
 
-# The "p/q" strings read without `Fraction`'s regex, to the value it gives:
-# ASCII digits with an optional minus sign and an optional denominator.
-_CANONICAL_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
-
-
-def _canonical_fraction(value: str) -> Fraction | None:
-    """The value of a canonical "p/q" string, read without `Fraction`'s
-    regex; None for any other string, and for a zero denominator."""
-    canonical = _CANONICAL_RATIONAL(value)
-    if canonical is None:
-        return None
-    num, den = canonical.groups("1")
-    try:
-        num, den = int(num), int(den)
-    except ValueError:  # past int's digit limit, which `_rational` reports
-        return None
-    return Fraction(num, den) if den else None
-
-
 def _parse_fraction(value, path: str, errors: list[str]) -> Fraction | None:
     """`_rational(value)`, or None with the error under `path`."""
     if isinstance(value, str) or type(value) is int:
-        fast = _canonical_fraction(value) if type(value) is str else None
-        if fast is not None:
-            return fast
         try:
             return _rational(value)
         except ValueError:
@@ -696,6 +676,15 @@ def fixture_text(name: str) -> str:
     return (files("credalvote") / "fixtures" / name).read_text()
 
 
+@lru_cache(maxsize=LRU_SIZE)
+def _generated_belief(kind: str, radii: tuple[int, ...],
+                      parts: tuple[int, ...]) -> LayeredBelief:
+    """The l1_addremove belief on `radii` weighted by the integer `parts`
+    over their sum, built once and shared by every instance that draws it."""
+    total = sum(parts)
+    return LayeredBelief(kind, radii, tuple(Fraction(p, total) for p in parts))
+
+
 def generate_instance(seed: int, n: int, m: int, family: str) -> Scenario:
     """A deterministic random scenario: uniform preferences, truthful starts.
 
@@ -703,8 +692,8 @@ def generate_instance(seed: int, n: int, m: int, family: str) -> Scenario:
     weights and the pessimistic rule. theorem2_hurwicz: nested decreasing
     layers with a Hurwicz rule, alpha above one half. pignistic_uniform: one
     radius-1 layer under the pignistic rule. meir_r0: radius-0 singleton
-    beliefs, pessimistic, direct best response. Every belief is valid by
-    construction, so none is checked again.
+    beliefs, pessimistic, direct best response. Equal beliefs are one
+    shared object, from `_generated_belief`.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -726,19 +715,22 @@ def generate_instance(seed: int, n: int, m: int, family: str) -> Scenario:
             kind = PARTITIONED if family == THEOREM1_PARTITIONED else NESTED
             layers = rng.randint(1, 3)
             radii = tuple(sorted(rng.sample([1, 2, 3], layers)))
-            # Decreasing weights: integer parts, largest first, over their sum.
+            # Decreasing weights: integer parts, largest first, over their
+            # sum, in lowest terms, so that equal beliefs share one entry.
             parts = sorted((rng.randint(1, 6) for _ in range(layers)),
                            reverse=True)
-            belief = LayeredBelief._trusted(kind, radii, parts)
+            g = math.gcd(*parts)
+            belief = _generated_belief(kind, radii,
+                                       tuple(p // g for p in parts))
             rule = (DecisionRule(HURWICZ, alpha=rng.choice(HURWICZ_ALPHAS))
                     if family == THEOREM2_HURWICZ else DecisionRule(PESSIMISTIC))
             utility = MEIR_SIGN
         elif family == PIGNISTIC_UNIFORM:
-            belief = LayeredBelief._trusted(NESTED, (1,), (1,))
+            belief = _generated_belief(NESTED, (1,), (1,))
             rule = DecisionRule(PIGNISTIC)
             utility = MEIR_SIGN
         else:
-            belief = LayeredBelief._trusted(NESTED, (0,), (1,))
+            belief = _generated_belief(NESTED, (0,), (1,))
             rule = DecisionRule(PESSIMISTIC)
             utility = DIRECT_BEST_RESPONSE
         voters.append(VoterConfig(preference=pref, belief=belief, rule=rule,

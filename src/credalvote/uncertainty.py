@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,12 +22,12 @@ DEFAULT_CAP = 100_000
 
 # Entries kept per process in each least-recently-used table, which keeps
 # memory flat over long campaigns. A 300-seed theorem1_nested campaign at
-# n=12, m=4 fills the seven tables (balls and rings here; recentred masses
+# n=12, m=4 fills the eight tables (balls and rings here; recentred masses
 # and least centres in dynamics; gap classes, winner-pair rows and pair
-# counts in decision) to 826, 0, 3,931, 691, 826, 700 and 2,380 entries, so
-# it misses no more often than with unbounded tables; 8 pignistic runs at
-# n=1000, m=6 to 81, 0, 81, 3,772, 81, 612 and 241. A 1,200-seed campaign
-# needs 3,269 pair counts.
+# counts in decision; generated beliefs in scenario) to 826, 0, 3,931, 691,
+# 826, 700, 2,380 and 81 entries, so it misses no more often than with
+# unbounded tables; 8 pignistic runs at n=1000, m=6 to 81, 0, 81, 3,772, 81,
+# 612, 241 and 0. A 1,200-seed campaign needs 3,269 pair counts.
 LRU_SIZE = 4096
 
 L1_ADDREMOVE = "l1_addremove"
@@ -41,18 +42,32 @@ class ExpansionCapError(ValueError):
     """A focal element would expand past DEFAULT_CAP points."""
 
 
+# The canonical "p/q" strings: ASCII digits with an optional minus sign and
+# an optional denominator, which `int` reads to the value `Fraction` gives.
+_CANONICAL_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
 def _rational(value) -> Fraction:
-    """An exact weight as a Fraction. Floats are refused, since their binary
-    rounding can tip a criterion across zero; bools are refused as not
-    numbers; strings with an exponent are refused, since `Fraction` expands
-    one into a power of ten of any size."""
+    """An exact number as a Fraction: a Fraction as it is, an int, or a
+    string that `Fraction` reads, the canonical "p/q" ones without its
+    regex. Floats are refused, since their binary rounding can tip a
+    criterion across zero; bools are refused as not numbers; strings with an
+    exponent are refused, since `Fraction` expands one into a power of ten of
+    any size."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, bool)):
         raise ValueError(f"{value!r} is not exact: give an int, a Fraction "
                          f"or a 'p/q' string")
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ValueError(f"{value!r} has an exponent: give a 'p/q' string")
     try:
-        return Fraction(value)
+        canonical = _CANONICAL_RATIONAL(value) if type(value) is str else None
+        if canonical is None:
+            return Fraction(value)
+        # Past its digit limit, `int` raises the error `Fraction` raises.
+        num, den = canonical.groups("1")
+        return Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise ValueError(f"{value!r} has a zero denominator") from None
 
@@ -87,7 +102,11 @@ class FocalElement:
 
     @classmethod
     def _trusted(cls, points: Sequence[Score]) -> "FocalElement":
-        """Points already sorted, distinct, nonnegative and of one length."""
+        """Points already sorted, distinct, nonnegative and of one length.
+
+        Unchecked, since the check grows with the point count and every ball
+        and ring of a run is built here: on a 41-point ball it costs about
+        70 times the build."""
         focal = object.__new__(cls)
         object.__setattr__(focal, "points", tuple(points))
         return focal
@@ -178,19 +197,6 @@ class MassFunction:
             raise ValueError("focal elements must be distinct after canonicalization")
         object.__setattr__(self, "_scaled", (den, numerators))
 
-    @classmethod
-    def _trusted(cls, focals: Sequence[FocalElement], den: int,
-                 numerators: Sequence[int]) -> "MassFunction":
-        """Distinct focal elements with positive integer weights over `den`
-        that sum to it."""
-        g = math.gcd(den, *numerators)
-        den, numerators = den // g, tuple(n // g for n in numerators)
-        mass = object.__new__(cls)
-        object.__setattr__(mass, "assignments", tuple(
-            (focal, Fraction(n, den)) for focal, n in zip(focals, numerators)))
-        object.__setattr__(mass, "_scaled", (den, numerators))
-        return mass
-
 
 def _over_common_denominator(
         weights: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -234,33 +240,13 @@ class LayeredBelief:
         if len(weights) != len(self.radii):
             raise ValueError("need one weight per radius")
         # Kept as integers over their common denominator, for
-        # `layered_to_mass` to fold and pass on without checking them again.
+        # `layered_to_mass` to fold and `__hash__` to read.
         den, numerators = _over_common_denominator(weights)
         if any(n <= 0 for n in numerators):
             raise ValueError("layer weights must be positive")
         if sum(numerators) != den:
             raise ValueError("layer weights must sum to exactly 1")
         object.__setattr__(self, "_scaled", (den, numerators))
-
-    @classmethod
-    def _trusted(cls, kind: str, radii: tuple[int, ...],
-                 parts: Sequence[int]) -> "LayeredBelief":
-        """An l1_addremove belief of a valid `kind` on strictly increasing
-        nonnegative integer `radii`, weighted by positive integer `parts`
-        over their sum."""
-        total = sum(parts)
-        g = math.gcd(total, *parts)
-        belief = object.__new__(cls)
-        object.__setattr__(belief, "kind", kind)
-        object.__setattr__(belief, "radii", radii)
-        object.__setattr__(belief, "weights",
-                           tuple(Fraction(p, total) for p in parts))
-        object.__setattr__(belief, "metric", L1_ADDREMOVE)
-        # What __post_init__ stores: the weights' least common denominator
-        # is total // g.
-        object.__setattr__(belief, "_scaled",
-                           (total // g, tuple(p // g for p in parts)))
-        return belief
 
     def __hash__(self):
         # Equal beliefs have equal radii and integer weights. Hashing only
@@ -392,7 +378,8 @@ def layered_to_mass(belief: LayeredBelief, center: Score) -> MassFunction:
         else:
             focals.append(_ring(center, metric, r_prev, r))
         weights.append(w)
-    return MassFunction._trusted(focals, den, weights)
+    return MassFunction(tuple((focal, Fraction(w, den))
+                              for focal, w in zip(focals, weights)))
 
 
 def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]]],
@@ -457,6 +444,8 @@ def multinomial_distribution(q: Sequence[Fraction], n: int) -> MassFunction:
         raise ValueError("weights must be nonnegative")
     if sum(q) != 1:
         raise ValueError("weights must sum to exactly 1")
+    if type(n) is not int:
+        raise ValueError("voter count must be an integer")
     if n < 1:
         raise ValueError("need at least one voter")
     support = []

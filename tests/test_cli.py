@@ -145,7 +145,7 @@ class TestVerify:
         assert main(["verify", "example4"]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if not line.startswith("ok: ")] == [
-            "MISMATCH: voter 0: move a->b evaluation agrees",
+            "MISMATCH: voter 0: move a->b evaluation disagrees",
             "1 mismatch(es)"]
         assert len(calls) == 6
 

@@ -132,7 +132,8 @@ class TestTemplatesAndConfigs:
         assert {"dynamics._layered_mass", "dynamics._least_centre",
                 "uncertainty._ball", "uncertainty._ring",
                 "decision._classes", "decision._move_pairs",
-                "decision._pair_counts"} <= set(maxsizes)
+                "decision._pair_counts",
+                "scenario._generated_belief"} <= set(maxsizes)
         assert None not in maxsizes.values(), maxsizes
 
     def test_no_module_container_grows(self, capsys):

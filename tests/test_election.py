@@ -33,6 +33,10 @@ def test_candidate_set_needs_more_than_two():
 def test_tie_break_validation():
     with pytest.raises(ValueError):
         TieBreakOrder((0, 1, 1))
+    # Equal to a permutation, but not of integers.
+    for order in ((0.0, 1, 2), (True, False, 2)):
+        with pytest.raises(ValueError, match="permutation"):
+            TieBreakOrder(order)
     assert TieBreakOrder.default(3).order == (0, 1, 2)
 
 
@@ -48,6 +52,9 @@ def test_list_fields_are_stored_as_tuples():
 def test_preference_validation():
     with pytest.raises(ValueError):
         Preference((0, 2))
+    for ranking in ((1.0, 0, 2), (True, False, 2), ("a", 0, 2)):
+        with pytest.raises(ValueError, match="permutation"):
+            Preference(ranking)
     pref = Preference((2, 0, 1))
     assert pref.top == 2
     assert pref.rank_of(1) == 2

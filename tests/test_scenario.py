@@ -344,15 +344,24 @@ class TestParse:
     @example("\u0661/\u0662")
     @example("1" * 5000)
     def test_fraction_fast_path_matches_rational(self, text):
+        # `Fraction` is the reference, less the strings `_rational` refuses
+        # on purpose: those with an exponent, and zero denominators.
         try:
-            expected, expected_errors = _rational(text), []
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        if "e" in text or "E" in text:
+            expected = None
+        try:
+            value = _rational(text)
         except ValueError:
-            expected, expected_errors = None, [
-                f"x: not a rational number: {text!r}"]
-        errors = []
-        value = _parse_fraction(text, "x", errors)
-        assert (value, errors) == (expected, expected_errors)
+            value = None
+        assert value == expected
         assert value is None or type(value) is Fraction
+        errors = []
+        assert _parse_fraction(text, "x", errors) == value
+        assert errors == ([] if value is not None else
+                          [f"x: not a rational number: {text!r}"])
 
     def test_unhashable_labels_and_bad_points_refused(self):
         raw = json.loads(MINIMAL)
@@ -711,8 +720,8 @@ class TestGeneration:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_beliefs_equal_publicly_built_ones(self, family):
-        # Generated beliefs skip the weight checks; each must still equal,
-        # and hash as, the belief the public constructor builds.
+        # Equal draws, across voters and seeds, are one shared object.
+        drawn = {}
         for seed in range(6):
             for voter in generate_instance(seed, n=6, m=4,
                                            family=family).voters:
@@ -723,6 +732,8 @@ class TestGeneration:
                 assert hash(belief) == hash(public)
                 assert belief._scaled == public._scaled
                 assert all(type(w) is Fraction for w in belief.weights)
+                assert drawn.setdefault(public, belief) is belief
+        assert len(drawn) < 36
 
     def test_validation(self):
         with pytest.raises(ValueError):

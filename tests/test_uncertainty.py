@@ -698,6 +698,9 @@ class TestMultinomial:
     def test_validation(self):
         with pytest.raises(ValueError):
             multinomial_distribution((HALF, HALF), 0)
+        for n in (2.0, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                multinomial_distribution([1], n)
         with pytest.raises(ValueError):
             multinomial_distribution((HALF, HALF, HALF), 2)
         for q in ((0.5, 0.5), (True, 0)):
