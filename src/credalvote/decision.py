@@ -239,6 +239,9 @@ def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
     pig, pig_den = 0, 1
     want_pig = rule.kind in (PIGNISTIC, MIXTURE)
     rank = voter_pref._rank
+    # A mass of another size is refused by plurality_winner in _move_pairs.
+    if len(rank) != len(tie.order):
+        raise ValueError("preference and tie-break order differ in candidates")
     for (focal, _), w in zip(mass.assignments, numerators):
         lo, hi, total, n = _focal_stats(focal, model, rank, frm, to, tie)
         lower += w * lo

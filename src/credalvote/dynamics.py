@@ -127,10 +127,8 @@ def _least_centre(broadcast: Score, radius: int) -> Score:
                  for gap, entry in signature)
 
 
-def _strict_options(voter: int, config: VoterConfig, profile: BallotProfile,
-                    broadcast: Score, tie: TieBreakOrder
-                    ) -> list[tuple[int, MoveEvaluation]]:
-    frm = profile.ballots[voter]
+def _strict_options(config: VoterConfig, frm: int, broadcast: Score,
+                    tie: TieBreakOrder) -> list[tuple[int, MoveEvaluation]]:
     belief = config.belief
     mass = config.mass_at(broadcast if isinstance(belief, MassFunction)
                           else _least_centre(broadcast, belief.radii[-1]))
@@ -150,13 +148,13 @@ def _strict_options(voter: int, config: VoterConfig, profile: BallotProfile,
 
 
 def default_policy(options: list[tuple[int, MoveEvaluation]],
-                   pref: Preference) -> int:
-    """Pick the highest criterion value; break ties by the voter's own
-    preference over destinations. That order is strict and destinations are
-    distinct, so no tie is left for the tie-break order to decide."""
-    best = max(options, key=lambda item: (item[1].criterion_value,
+                   pref: Preference) -> tuple[int, MoveEvaluation]:
+    """Pick the (destination, record) pair of highest criterion value; break
+    ties by the voter's own preference over destinations. That order is
+    strict and destinations are distinct, so no tie is left for the
+    tie-break order to decide."""
+    return max(options, key=lambda item: (item[1].criterion_value,
                                           -pref.rank_of(item[0])))
-    return best[0]
 
 
 def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder
@@ -170,12 +168,11 @@ def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder
     for k in range(n):
         voter = (state.next_voter + k) % n
         config = configs[voter]
-        options = _strict_options(voter, config, state.profile, broadcast, tie)
+        frm = state.profile.ballots[voter]
+        options = _strict_options(config, frm, broadcast, tie)
         if not options:
             continue
-        to = default_policy(options, config.preference)
-        outcome = dict(options)[to]
-        frm = state.profile.ballots[voter]
+        to, outcome = default_policy(options, config.preference)
         profile = state.profile.with_ballot(voter, to)
         # broadcast[frm] holds the mover's own vote, so apply_move's clamp
         # never applies and score_after is the tally of the new profile.

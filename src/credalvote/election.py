@@ -88,9 +88,15 @@ class PartialPreference:
                            frozenset((x, y) for x, y in self.pairs))
         if any(type(c) is not int for pair in self.pairs for c in pair):
             raise ValueError("partial preference candidates must be integers")
-        closure = transitive_closure(self.pairs)
-        if any((x, x) in closure for x, _ in closure):
-            raise ValueError("partial preference contains a cycle")
+        # A pair whose better candidate no remaining pair beats lies on no
+        # cycle, so peel such pairs off; pairs left when none peels hold one.
+        pairs = self.pairs
+        while pairs:
+            beaten = {y for _, y in pairs}
+            kept = {(x, y) for x, y in pairs if x in beaten}
+            if len(kept) == len(pairs):
+                raise ValueError("partial preference contains a cycle")
+            pairs = kept
 
 
 @dataclass(frozen=True)
@@ -124,18 +130,6 @@ class BallotProfile:
         return profile
 
 
-def transitive_closure(pairs) -> frozenset[tuple[int, int]]:
-    closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(closure), repeat=2):
-            if b == c and (a, d) not in closure:
-                closure.add((a, d))
-                changed = True
-    return frozenset(closure)
-
-
 def validate_score(score: Score) -> Score:
     if any(type(x) is not int or x < 0 for x in score):
         raise ValueError("score entries must be nonnegative integers")
@@ -143,10 +137,11 @@ def validate_score(score: Score) -> Score:
 
 
 def tally(ballots: Sequence[int], m: int) -> Score:
-    """Votes per candidate 0..m-1; a ballot outside 0..m-1 is a ValueError."""
+    """Votes per candidate 0..m-1; a ballot that is not an int in 0..m-1 is
+    a ValueError."""
     counts = [0] * m
     for b in ballots:
-        if not 0 <= b < m:
+        if type(b) is not int or not 0 <= b < m:
             raise ValueError(f"ballot index {b} out of range")
         counts[b] += 1
     return tuple(counts)
@@ -156,11 +151,12 @@ def plurality_winner(score: Score, tie: TieBreakOrder) -> int:
     """The candidate with the most votes; ties go to the earliest in `tie`."""
     if not score:
         raise ValueError("empty score vector")
+    if len(tie.order) != len(score):
+        raise ValueError("score and tie-break order differ in candidates")
     best = max(score)
     for c in tie.order:
         if score[c] == best:
             return c
-    raise ValueError("tie-break order does not cover all candidates")
 
 
 def apply_move(score: Score, frm: int, to: int) -> Score:
@@ -187,9 +183,9 @@ def _check_candidates(partial: PartialPreference, m: int) -> None:
                          f"0..{m - 1}")
 
 
-def linear_extensions(partial: PartialPreference, candidates: CandidateSet) -> set[Preference]:
-    """All strict linear orders consistent with the partial order."""
-    m = candidates.m
+def linear_extensions(partial: PartialPreference, m: int) -> set[Preference]:
+    """All strict linear orders of candidates 0..m-1 consistent with the
+    partial order."""
     _check_candidates(partial, m)
     out = set()
     for perm in itertools.permutations(range(m)):

@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .election import (
-    CandidateSet,
     PartialPreference,
     Preference,
     Score,
@@ -172,11 +171,10 @@ def oracle_dominance(voter_pref: Preference,
                      to: int, tie: TieBreakOrder) -> bool:
     """Loop over the full Cartesian product of the others' linear extensions."""
     m = len(voter_pref.ranking)
-    candidates = CandidateSet(tuple(chr(ord("a") + i) for i in range(m)))
     extension_lists = []
     total = 1
     for partial in others_partials:
-        exts = sorted(linear_extensions(partial, candidates),
+        exts = sorted(linear_extensions(partial, m),
                       key=lambda p: p.ranking)
         total *= len(exts)
         if total > ORACLE_MAX_COMPLETIONS:

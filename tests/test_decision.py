@@ -306,6 +306,23 @@ class TestEvaluateMove:
         assert (out.criterion_value, out.verdict) == (Fraction(1, 4),
                                                       STRICTLY_PREFERRED)
 
+    def test_sizes_that_disagree_are_refused(self):
+        mass, rule = singleton_mass((1, 2, 0)), DecisionRule(PESSIMISTIC)
+        tie4 = TieBreakOrder.default(4)
+        # A 3-candidate mass under a 4-candidate tie order raised IndexError.
+        with pytest.raises(ValueError, match="^score and tie-break order "
+                                             "differ in candidates$"):
+            evaluate_move(mass, rule, MEIR_SIGN, Preference((0, 1, 2, 3)), 1,
+                          0, tie4)
+        # A preference whose size is not the tie order's: on 3-candidate
+        # scores a 4-candidate one gave not_preferred, and a 3-candidate one
+        # under a 4-candidate order raised IndexError.
+        for pref, tie in ((Preference((3, 2, 1, 0)), TIE3),
+                          (PREF_BCA, tie4)):
+            with pytest.raises(ValueError, match="^preference and tie-break "
+                                                 "order differ in candidates$"):
+                evaluate_move(mass, rule, MEIR_SIGN, pref, 1, 0, tie)
+
     def test_pessimistic_verdict_table(self):
         pref = Preference((0, 1, 2))
         gain = singleton_mass((1, 2, 0))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -83,9 +85,35 @@ def test_partial_preference_rejects_cycles():
     with pytest.raises(ValueError):
         PartialPreference([(0, 1), (1, 2), (2, 0)])
     partial = PartialPreference([(0, 1), (1, 2)])
-    extensions = linear_extensions(partial, ABC)
+    extensions = linear_extensions(partial, 3)
     assert extensions
     assert all(p.rank_of(0) < p.rank_of(2) for p in extensions)
+
+
+def test_cycle_check_matches_brute_force():
+    # Every relation on four candidates, self-pairs included: it is refused
+    # exactly when no order of the four puts each pair's first before its
+    # second.
+    pairs = list(itertools.product(range(4), repeat=2))
+    orders = [{c: i for i, c in enumerate(perm)}
+              for perm in itertools.permutations(range(4))]
+    respects = [sum(1 << k for k, (x, y) in enumerate(pairs) if pos[x] < pos[y])
+                for pos in orders]
+    refused = 0
+    for relation in range(1 << len(pairs)):
+        ordered = any(relation & ~mask == 0 for mask in respects)
+        chosen = [pair for k, pair in enumerate(pairs) if relation >> k & 1]
+        try:
+            PartialPreference(chosen)
+        except ValueError as e:
+            assert str(e) == "partial preference contains a cycle"
+            assert not ordered, chosen
+            refused += 1
+        else:
+            assert ordered, chosen
+    # The orderable relations are the 543 labelled acyclic digraphs on four
+    # nodes.
+    assert refused == (1 << len(pairs)) - 543
 
 
 def test_partial_preference_refuses_non_integers():
@@ -115,6 +143,10 @@ def test_scores_from_profile():
     for ballots, bad in (((3,), 3), ((0, 1, -1), -1)):
         with pytest.raises(ValueError, match=f"ballot index {bad} out of range"):
             tally(ballots, ABC.m)
+    # A ballot is an int: 1.5 indexed nothing and True counted for 1.
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match=f"^ballot index {bad} out of range$"):
+            tally([bad], ABC.m)
 
 
 def test_negative_ballots_rejected():
@@ -151,6 +183,16 @@ def test_winner_examples():
     assert plurality_winner((2, 2, 3, 3), tie) == 2
     assert plurality_winner((1, 1, 1), TieBreakOrder.default(3)) == 0
     assert plurality_winner((1, 1, 1), TieBreakOrder((1, 2, 0))) == 1
+    with pytest.raises(ValueError, match="^empty score vector$"):
+        plurality_winner((), TieBreakOrder(()))
+
+
+def test_winner_refuses_a_tie_order_of_another_size():
+    # (1, 0) raised IndexError, and (0, 2, 2) gave 1 though 2 ties it.
+    for score, order in (((1, 0), (1, 2, 0)), ((0, 2, 2), (0, 1))):
+        with pytest.raises(ValueError, match="^score and tie-break order "
+                                             "differ in candidates$"):
+            plurality_winner(score, TieBreakOrder(order))
 
 
 @given(scores(m=4, max_votes=5), tie_orders(m=4))
@@ -182,12 +224,12 @@ def test_apply_move_totals(s, frm, to):
 
 def test_linear_extensions_examples():
     partial = PartialPreference([(0, 2)])
-    exts = linear_extensions(partial, ABC)
+    exts = linear_extensions(partial, 3)
     assert {p.ranking for p in exts} == {(0, 2, 1), (1, 0, 2), (0, 1, 2)}
     empty = PartialPreference([])
-    assert len(linear_extensions(empty, ABC)) == 6
+    assert len(linear_extensions(empty, 3)) == 6
     full = PartialPreference([(2, 0), (0, 1)])
-    assert {p.ranking for p in linear_extensions(full, ABC)} == {(2, 0, 1)}
+    assert {p.ranking for p in linear_extensions(full, 3)} == {(2, 0, 1)}
 
 
 def test_possible_tops_examples():
@@ -199,12 +241,12 @@ def test_possible_tops_examples():
 
 @given(partial_preferences(m=3))
 def test_possible_tops_match_extensions(partial):
-    exts = linear_extensions(partial, ABC)
+    exts = linear_extensions(partial, 3)
     assert possible_tops(partial, 3) == {p.top for p in exts}
 
 
 @given(partial_preferences(m=3))
 def test_extensions_respect_required_pairs(partial):
-    for p in linear_extensions(partial, ABC):
+    for p in linear_extensions(partial, 3):
         for x, y in partial.pairs:
             assert p.rank_of(x) < p.rank_of(y)

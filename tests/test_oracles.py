@@ -152,6 +152,13 @@ class TestDominanceOracle:
                 with pytest.raises(ValueError, match="outside 0..2"):
                     check(pref, others, 0, 1, tie)
 
+    def test_two_candidates(self):
+        # The oracle took m from a candidate set, which needs three.
+        pref, tie = Preference((0, 1)), TieBreakOrder.default(2)
+        others = [PartialPreference([])]
+        for check in (dominating_manipulation, oracle_dominance):
+            assert check(pref, others, 1, 0, tie)
+
     def test_completion_cap(self):
         empty = PartialPreference([])
         pref = Preference((0, 1, 2, 3))

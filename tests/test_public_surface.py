@@ -1,6 +1,7 @@
 """Every function exported from `credalvote`, and every public method,
 property and classmethod of an exported class, has a caller in the package,
-or states a claim of the paper that a test checks.
+or states a claim of the paper that a test checks. Every public module-level
+function outside `cli.py` and `oracles.py` is exported, so these checks see it.
 
 A caller is a reference in some module of `src/credalvote` other than
 `__init__.py`, outside the function's own `def`. For a function it is a
@@ -101,6 +102,18 @@ def test_every_exported_function_has_a_caller_or_a_claim():
     # leaves the list.
     assert sorted(set(ALLOWED) - unreached) == []
 
+
+def test_every_public_function_is_exported():
+    exported, unexported = exported_functions(), []
+    for path in sorted(pathlib.Path(credalvote.__file__).parent.glob("*.py")):
+        if path.name in ("__init__.py", "cli.py", "oracles.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unexported += [f"{path.stem}.{node.name}" for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and not node.name.startswith("_")
+                       and node.name not in exported]
+    assert unexported == []
 
 
 def test_every_public_member_has_an_attribute_caller():

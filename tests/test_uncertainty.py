@@ -125,6 +125,11 @@ class TestMassFunction:
         assert MassFunction(((a, "1/4"), (b, Fraction(3, 4)))) == \
             MassFunction(((a, Fraction(1, 4)), (b, Fraction(3, 4))))
 
+    def test_needs_a_focal_element(self):
+        with pytest.raises(ValueError, match="^mass function needs at least "
+                                             "one focal element$"):
+            MassFunction(())
+
     def test_focal_elements_must_share_one_length(self):
         a = FocalElement.from_points([(1, 0, 0)])
         b = FocalElement.from_points([(1, 0, 0, 0)])
@@ -226,6 +231,9 @@ class TestExpectations:
         assert lower_expectation(mass, {(1, 0): 2, (0, 1): 0}) == 1
         assert upper_expectation(mass, {(1, 0): 2, (0, 1): 0}) == 1
         assert upper_expectation(mass, indicator([(9, 9)])) == 0
+        with pytest.raises(TypeError, match="^utility must be a callable or "
+                                            "a mapping over score vectors$"):
+            lower_expectation(mass, 5)
 
 
 class TestPignistic:
@@ -589,6 +597,11 @@ class TestLayered:
                               weights=weights)
         with pytest.raises(ValueError, match="zero denominator"):
             LayeredBelief(kind="nested", radii=(1,), weights=("1/0",))
+        with pytest.raises(ValueError, match="^unknown metric 'x'$"):
+            LayeredBelief("nested", (1,), (1,), "x")
+        with pytest.raises(ValueError, match="^layered belief needs at least "
+                                             "one radius$"):
+            LayeredBelief("nested", (), ())
 
     @given(layered_beliefs())
     def test_hash_agrees_with_equality(self, belief):
@@ -657,6 +670,9 @@ class TestProductMass:
             product_mass([[(set(), Fraction(1))]], candidates_m=3)
         with pytest.raises(ValueError):
             product_mass([[({5}, Fraction(1))]], candidates_m=3)
+        with pytest.raises(ValueError, match="^voter 0 has a nonpositive "
+                                             "ballot weight$"):
+            product_mass([[({0}, 0), ({1}, 1)]], candidates_m=3)
         for weight in (1.0, True):
             with pytest.raises(ValueError, match="not exact"):
                 product_mass([[({0}, weight)]], candidates_m=3)
@@ -703,6 +719,10 @@ class TestMultinomial:
                 multinomial_distribution([1], n)
         with pytest.raises(ValueError):
             multinomial_distribution((HALF, HALF, HALF), 2)
+        with pytest.raises(ValueError, match="^need at least one weight$"):
+            multinomial_distribution([], 1)
+        with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+            multinomial_distribution((Fraction(3, 2), -HALF), 2)
         for q in ((0.5, 0.5), (True, 0)):
             with pytest.raises(ValueError, match="not exact"):
                 multinomial_distribution(q, 2)
