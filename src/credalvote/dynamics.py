@@ -6,6 +6,13 @@ belief is re-centered on the new broadcast score, and the scan position
 advances past the mover. A full scan without a strict move is an equilibrium.
 A repeated (ballot profile, scheduler position) pair proves a cycle, because
 the dynamics are a deterministic function of that pair.
+
+`run` stores no ballot profile per step. Equal profiles have equal broadcast
+scores, so it keys each state on (broadcast, scheduler position), where the
+broadcast is the last move record's `score_after`, and confirms a key hit
+from the trace: the state at step s has the current ballots iff every voter
+that moved in trace[s:] holds again the ballot of its first move there. A
+hit costs O(t - s) at step t; a step that hits nothing costs O(m).
 """
 from __future__ import annotations
 
@@ -80,9 +87,10 @@ class GameState:
     next_voter: int = 0
 
     def __post_init__(self):
-        if self.step < 0:
-            raise ValueError("step must be nonnegative")
-        if not 0 <= self.next_voter < self.profile.n:
+        if type(self.step) is not int or self.step < 0:
+            raise ValueError("step must be a nonnegative integer")
+        if (type(self.next_voter) is not int
+                or not 0 <= self.next_voter < self.profile.n):
             raise ValueError("scheduler position out of range")
 
 
@@ -210,31 +218,45 @@ def equilibrium_check(state: GameState, configs: Sequence[VoterConfig],
     return False, (record.voter, record.frm, record.to)
 
 
+def _holds_ballots_of(trace: Sequence[MoveRecord], start: int,
+                      ballots: tuple[int, ...]) -> bool:
+    """True when `ballots` are the ballots before trace[start]: every voter
+    that moved since holds again the ballot it first moved from."""
+    # Read backwards, so each voter's entry ends at its first move.
+    first = {record.voter: record.frm
+             for record in reversed(trace[start:])}
+    return all(ballots[voter] == frm for voter, frm in first.items())
+
+
 def run(initial: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder,
         max_steps: int = DEFAULT_MAX_STEPS) -> RunOutcome:
     """Iterate steps until equilibrium, a repeated state, or the step limit."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    if type(max_steps) is not int or max_steps < 1:
+        raise ValueError("max_steps must be an integer of at least 1")
     _check_sizes(initial, configs, tie)
-    seen: dict[tuple[tuple[int, ...], int], int] = {}
+    # (broadcast, scheduler position) -> the steps whose state had them.
+    seen: dict[tuple[Score, int], list[int]] = {}
     trace: list[MoveRecord] = []
     state = initial
+    broadcast = tally(initial.profile.ballots, len(tie.order))
     while len(trace) <= max_steps:
-        key = (state.profile.ballots, state.next_voter)
-        # One hash of the key per step: it is stored unless already seen.
-        start = seen.setdefault(key, len(trace))
-        if start != len(trace):
-            return RunOutcome(status=CYCLE, steps=len(trace), final=state,
-                              trace=tuple(trace), cycle_start=start,
-                              cycle_length=len(trace) - start)
+        t = len(trace)
+        steps = seen.setdefault((broadcast, state.next_voter), [])
+        for start in reversed(steps):
+            if _holds_ballots_of(trace, start, state.profile.ballots):
+                return RunOutcome(status=CYCLE, steps=t, final=state,
+                                  trace=tuple(trace), cycle_start=start,
+                                  cycle_length=t - start)
+        steps.append(t)
         moved = step(state, configs, tie)
         if moved is None:
-            return RunOutcome(status=CONVERGED, steps=len(trace), final=state,
+            return RunOutcome(status=CONVERGED, steps=t, final=state,
                               trace=tuple(trace))
-        if len(trace) == max_steps:
+        if t == max_steps:
             break
         state, record = moved
         trace.append(record)
+        broadcast = record.score_after
     return RunOutcome(status=STEP_LIMIT, steps=len(trace), final=state,
                       trace=tuple(trace))
 
@@ -267,8 +289,8 @@ def campaign(make_instance: Callable[[int], RunSetup], count: int,
 
     Rows are (seed, status, steps, cycle_length), ordered by seed; cycle
     outcomes keep their full traces for serialization."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if type(count) is not int or count < 1:
+        raise ValueError("count must be an integer of at least 1")
     rows = []
     cycles = []
     converged = 0

@@ -3,9 +3,11 @@ import json
 import os
 import pathlib
 import pkgutil
+import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from credalvote import (
     ExpansionCapError,
     FocalElement,
     GameState,
+    HURWICZ,
     LayeredBelief,
     MEIR_R0,
     MEIR_SIGN,
@@ -29,7 +32,9 @@ from credalvote import (
     NESTED,
     PARTITIONED,
     PESSIMISTIC,
+    PIGNISTIC,
     Preference,
+    RunOutcome,
     STEP_LIMIT,
     STRICTLY_PREFERRED,
     THEOREM1_NESTED,
@@ -199,10 +204,13 @@ class TestTemplatesAndConfigs:
         assert equilibrium_check(setup.initial, configs, setup.tie)[0] is False
 
     def test_game_state_validation(self):
-        with pytest.raises(ValueError):
-            GameState(profile=BallotProfile((0, 1)), step=-1)
-        with pytest.raises(ValueError):
-            GameState(profile=BallotProfile((0, 1)), next_voter=2)
+        profile = BallotProfile((0, 1))
+        for step_index in (-1, 0.5, True):
+            with pytest.raises(ValueError, match="step must be"):
+                GameState(profile=profile, step=step_index)
+        for position in (2, -1, 1.0, True):
+            with pytest.raises(ValueError, match="scheduler position"):
+                GameState(profile=profile, next_voter=position)
 
     def test_truthful_profile(self):
         belief = LayeredBelief(kind=NESTED, radii=(0,),
@@ -358,8 +366,9 @@ class TestStrictOptions:
 class TestRun:
     def test_max_steps_validation(self):
         state, configs = oscillator()
-        with pytest.raises(ValueError):
-            run(state, configs, TIE3, max_steps=0)
+        for max_steps in (0, 1.5, True):
+            with pytest.raises(ValueError, match="max_steps must be"):
+                run(state, configs, TIE3, max_steps=max_steps)
 
     def test_cycle_detected(self):
         state, configs = oscillator()
@@ -431,6 +440,110 @@ class TestRun:
         outcome = run(*_unpack(prop_setup(max_steps=1)), max_steps=1)
         assert outcome.status == STEP_LIMIT
         assert outcome.steps == 1
+
+    @staticmethod
+    def whole_state_run(initial, configs, tie, max_steps):
+        """The reference: `run` with its cycle check keyed on whole
+        (ballots, scheduler position) states. Also returns how many states
+        had the broadcast and position of an earlier state with other
+        ballots, the key hits that `run` must not take for repeats."""
+        seen, keys, trace, state = {}, set(), [], initial
+        false_hits = 0
+        while True:
+            ballots = state.profile.ballots
+            start = seen.get((ballots, state.next_voter))
+            if start is not None:
+                return RunOutcome(CYCLE, len(trace), state, tuple(trace),
+                                  start, len(trace) - start), false_hits
+            seen[ballots, state.next_voter] = len(trace)
+            key = (tally(ballots, len(tie.order)), state.next_voter)
+            false_hits += key in keys
+            keys.add(key)
+            moved = step(state, configs, tie)
+            if moved is None:
+                return RunOutcome(CONVERGED, len(trace), state,
+                                  tuple(trace)), false_hits
+            if len(trace) == max_steps:
+                return RunOutcome(STEP_LIMIT, len(trace), state,
+                                  tuple(trace)), false_hits
+            state, record = moved
+            trace.append(record)
+
+    def test_run_matches_the_whole_state_reference(self):
+        seen = {"late_cycle": 0, "false_hit": 0, "cut": 0}
+
+        @settings(deadline=None, max_examples=200)
+        @given(small_games(), st.data())
+        def one_game(game, data):
+            state, configs, tie = game
+            state = replace(state, next_voter=data.draw(
+                st.integers(0, state.profile.n - 1)))
+            max_steps = data.draw(st.sampled_from((1, 2, 3, 200)))
+            expected, false_hits = self.whole_state_run(state, configs, tie,
+                                                        max_steps)
+            assert run(state, configs, tie, max_steps) == expected
+            seen["late_cycle"] += bool(expected.cycle_start)
+            seen["false_hit"] += false_hits > 0
+            seen["cut"] += expected.status == STEP_LIMIT
+
+        one_game()
+        assert all(seen.values()), seen
+
+    def test_a_key_hit_that_is_not_a_repeat(self):
+        # Step 2 has step 0's broadcast (1, 1, 0) and position 0, but the
+        # two ballots are swapped, so the run goes on and converges.
+        setup = family_setup(1, THEOREM1_NESTED, 2, 3)
+        initial = GameState(BallotProfile((0, 1)), next_voter=0)
+        outcome = run(initial, setup.configs, setup.tie)
+        assert outcome.status == CONVERGED
+        assert outcome.steps == 2
+        assert outcome.trace[0].score_before == (1, 1, 0)
+        assert outcome.trace[-1].score_after == (1, 1, 0)
+        assert outcome.final == GameState(BallotProfile((1, 0)), step=2)
+
+    def test_a_cycle_that_starts_after_step_0(self):
+        # Hurwicz at alpha = 1/3, below Theorem 2's bound of 1/2, with one
+        # radius-1 layer, cycles from the truthful start at (4, 3).
+        belief = LayeredBelief(kind=NESTED, radii=(1,),
+                               weights=(Fraction(1),))
+        rule = DecisionRule(HURWICZ, alpha=THIRD)
+        configs = tuple(
+            VoterConfig(preference=Preference(ranking), belief=belief,
+                        rule=rule, utility=MEIR_SIGN)
+            for ranking in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 2, 0)))
+        game = (GameState(truthful_profile(configs)), configs, TIE3, 100)
+        outcome = run(*game)
+        assert (outcome.status, outcome.steps, outcome.cycle_start,
+                outcome.cycle_length) == (CYCLE, 9, 1, 8)
+        assert outcome == self.whole_state_run(*game)[0]
+
+    def test_a_run_keeps_no_profile_per_step(self):
+        # 300 moves at n = 1000: a run that kept each step's ballots would
+        # hold 300 tuples of 1000 entries, about 8 KB each.
+        n, m, moves = 1000, 6, 300
+        rng = random.Random(0)
+        ballots = [i % m for i in range(n)]
+        rng.shuffle(ballots)
+        belief = LayeredBelief(kind=NESTED, radii=(1,),
+                               weights=(Fraction(1),))
+        configs = tuple(
+            VoterConfig(preference=Preference(tuple(rng.sample(range(m), m))),
+                        belief=belief, rule=DecisionRule(PIGNISTIC),
+                        utility=MEIR_SIGN)
+            for _ in range(n))
+        game = (GameState(BallotProfile(tuple(ballots))), configs,
+                TieBreakOrder.default(m))
+        # The first run fills the recentring and pair-count tables, so the
+        # traced one allocates only what a run itself keeps.
+        first = run(*game, max_steps=moves)
+        tracemalloc.start()
+        try:
+            again = run(*game, max_steps=moves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first and first.steps == moves
+        assert peak < 2048 * moves, peak
 
     @settings(deadline=None, max_examples=60)
     @given(small_games())
@@ -522,8 +635,9 @@ class TestCampaign:
         assert [row[0] for row in summary.rows] == [7, 8, 9, 10, 11]
 
     def test_count_validation(self):
-        with pytest.raises(ValueError):
-            campaign(lambda seed: family_setup(seed, MEIR_R0), 0)
+        for count in (0, True, 2.5):
+            with pytest.raises(ValueError, match="count must be"):
+                campaign(lambda seed: family_setup(seed, MEIR_R0), count)
 
     def test_peak_memory_stays_flat_over_repeated_campaigns(self):
         # Four back-to-back 300-seed campaigns at n=12, m=4 over fresh seeds,
