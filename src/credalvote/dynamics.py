@@ -1,18 +1,20 @@
 """Iterative voting: round-robin scheduling, moves, equilibria, and cycles.
 
-Each step scans voters round-robin from the scheduler position; the first
-voter holding a strictly preferred move executes one move, every layered
-belief is re-centered on the new broadcast score, and the scan position
-advances past the mover. A full scan without a strict move is an equilibrium.
-A repeated (ballot profile, scheduler position) pair proves a cycle, because
-the dynamics are a deterministic function of that pair.
+A state is a ballot profile and a scheduler position. `step` is the
+round-robin scan: from the scheduler position, the first voter holding a
+strictly preferred move is the mover, every layered belief being re-centered
+on the broadcast score. `run` executes that move, advances the position past
+the mover, and scans again; a full scan without a strict move is an
+equilibrium. A repeated (ballot profile, scheduler position) pair proves a
+cycle, because the dynamics are a deterministic function of that pair.
 
-`run` stores no ballot profile per step. Equal profiles have equal broadcast
-scores, so it keys each state on (broadcast, scheduler position), where the
-broadcast is the last move record's `score_after`, and confirms a key hit
-from the trace: the state at step s has the current ballots iff every voter
-that moved in trace[s:] holds again the ballot of its first move there. A
-hit costs O(t - s) at step t; a step that hits nothing costs O(m).
+`run` owns the loop. It keeps the ballots in one list, with the scheduler
+position and the broadcast, tallies once, and changes one entry per move. It
+stores no ballot profile per step: equal profiles have equal broadcast
+scores, so it keys each state on (broadcast, scheduler position) and confirms
+a key hit from the trace: the state at step s has the current ballots iff
+every voter that moved in trace[s:] holds again the ballot of its first move
+there. A hit costs O(t - s) at step t; a step that hits nothing costs O(m).
 """
 from __future__ import annotations
 
@@ -75,20 +77,12 @@ class VoterConfig:
 
 @dataclass(frozen=True)
 class GameState:
-    """A ballot profile and the scheduler's position.
-
-    A state made by `step` also carries its broadcast score as the private
-    `_broadcast`, so the next step need not tally; it is not a field, so
-    equality and construction ignore it.
-    """
+    """A ballot profile and the scheduler's position."""
 
     profile: BallotProfile
-    step: int = 0
     next_voter: int = 0
 
     def __post_init__(self):
-        if type(self.step) is not int or self.step < 0:
-            raise ValueError("step must be a nonnegative integer")
         if (type(self.next_voter) is not int
                 or not 0 <= self.next_voter < self.profile.n):
             raise ValueError("scheduler position out of range")
@@ -165,33 +159,20 @@ def default_policy(options: list[tuple[int, MoveEvaluation]],
                                           -pref.rank_of(item[0])))
 
 
-def step(state: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder
-         ) -> tuple[GameState, MoveRecord] | None:
-    """Execute one move, or return None when the state is stable."""
-    n = state.profile.n
-    broadcast = getattr(state, "_broadcast", None)
-    if broadcast is None:
-        broadcast = tally(state.profile.ballots,
-                          len(configs[0].preference.ranking))
+def step(ballots: Sequence[int], next_voter: int, broadcast: Score,
+         configs: Sequence[VoterConfig], tie: TieBreakOrder
+         ) -> tuple[int, int, MoveEvaluation] | None:
+    """The round-robin scan: (voter, destination, evaluation) for the first
+    voter from `next_voter` on that holds a strictly preferred move, or None
+    when the state is stable. `broadcast` must be the tally of `ballots`."""
+    n = len(ballots)
     for k in range(n):
-        voter = (state.next_voter + k) % n
+        voter = (next_voter + k) % n
         config = configs[voter]
-        frm = state.profile.ballots[voter]
-        options = _strict_options(config, frm, broadcast, tie)
-        if not options:
-            continue
-        to, outcome = default_policy(options, config.preference)
-        profile = state.profile.with_ballot(voter, to)
-        # broadcast[frm] holds the mover's own vote, so apply_move's clamp
-        # never applies and score_after is the tally of the new profile.
-        after = apply_move(broadcast, frm, to)
-        record = MoveRecord(step=state.step, voter=voter, frm=frm, to=to,
-                            criterion_value=outcome.criterion_value,
-                            score_before=broadcast, score_after=after)
-        moved = GameState(profile=profile, step=state.step + 1,
-                          next_voter=(voter + 1) % n)
-        object.__setattr__(moved, "_broadcast", after)
-        return moved, record
+        options = _strict_options(config, ballots[voter], broadcast, tie)
+        if options:
+            to, outcome = default_policy(options, config.preference)
+            return voter, to, outcome
     return None
 
 
@@ -211,15 +192,16 @@ def equilibrium_check(state: GameState, configs: Sequence[VoterConfig],
     """True when no voter holds a strictly preferred move; else, as witness,
     the move (voter, from, to) a scan from voter 0 would make."""
     _check_sizes(state, configs, tie)
-    moved = step(GameState(state.profile), configs, tie)
-    if moved is None:
+    ballots = state.profile.ballots
+    move = step(ballots, 0, tally(ballots, len(tie.order)), configs, tie)
+    if move is None:
         return True, None
-    record = moved[1]
-    return False, (record.voter, record.frm, record.to)
+    voter, to, _ = move
+    return False, (voter, ballots[voter], to)
 
 
 def _holds_ballots_of(trace: Sequence[MoveRecord], start: int,
-                      ballots: tuple[int, ...]) -> bool:
+                      ballots: Sequence[int]) -> bool:
     """True when `ballots` are the ballots before trace[start]: every voter
     that moved since holds again the ballot it first moved from."""
     # Read backwards, so each voter's entry ends at its first move.
@@ -234,31 +216,45 @@ def run(initial: GameState, configs: Sequence[VoterConfig], tie: TieBreakOrder,
     if type(max_steps) is not int or max_steps < 1:
         raise ValueError("max_steps must be an integer of at least 1")
     _check_sizes(initial, configs, tie)
+    ballots = list(initial.profile.ballots)
+    next_voter = initial.next_voter
+    broadcast = tally(ballots, len(tie.order))
     # (broadcast, scheduler position) -> the steps whose state had them.
     seen: dict[tuple[Score, int], list[int]] = {}
     trace: list[MoveRecord] = []
-    state = initial
-    broadcast = tally(initial.profile.ballots, len(tie.order))
-    while len(trace) <= max_steps:
+    status = STEP_LIMIT
+    while True:
         t = len(trace)
-        steps = seen.setdefault((broadcast, state.next_voter), [])
-        for start in reversed(steps):
-            if _holds_ballots_of(trace, start, state.profile.ballots):
-                return RunOutcome(status=CYCLE, steps=t, final=state,
-                                  trace=tuple(trace), cycle_start=start,
-                                  cycle_length=t - start)
+        steps = seen.setdefault((broadcast, next_voter), [])
+        cycle_start = next((start for start in reversed(steps)
+                            if _holds_ballots_of(trace, start, ballots)), None)
+        if cycle_start is not None:
+            status = CYCLE
+            break
         steps.append(t)
-        moved = step(state, configs, tie)
-        if moved is None:
-            return RunOutcome(status=CONVERGED, steps=t, final=state,
-                              trace=tuple(trace))
+        move = step(ballots, next_voter, broadcast, configs, tie)
+        if move is None:
+            status = CONVERGED
+            break
         if t == max_steps:
             break
-        state, record = moved
-        trace.append(record)
-        broadcast = record.score_after
-    return RunOutcome(status=STEP_LIMIT, steps=len(trace), final=state,
-                      trace=tuple(trace))
+        voter, to, outcome = move
+        frm = ballots[voter]
+        # broadcast[frm] holds the mover's own vote, so apply_move's clamp
+        # never applies and score_after is the tally of the new ballots.
+        after = apply_move(broadcast, frm, to)
+        trace.append(MoveRecord(step=t, voter=voter, frm=frm, to=to,
+                                criterion_value=outcome.criterion_value,
+                                score_before=broadcast, score_after=after))
+        ballots[voter] = to
+        next_voter = (voter + 1) % len(ballots)
+        broadcast = after
+    final = (GameState(BallotProfile(tuple(ballots)), next_voter) if trace
+             else initial)
+    return RunOutcome(status=status, steps=len(trace), final=final,
+                      trace=tuple(trace), cycle_start=cycle_start,
+                      cycle_length=(None if cycle_start is None
+                                    else len(trace) - cycle_start))
 
 
 def truthful_profile(configs: Sequence[VoterConfig]) -> BallotProfile:

@@ -114,21 +114,6 @@ class BallotProfile:
     def n(self) -> int:
         return len(self.ballots)
 
-    def with_ballot(self, voter: int, candidate: int) -> "BallotProfile":
-        """This profile with one ballot changed; only that ballot is checked,
-        since a run makes one profile per move and checking all n ballots
-        would cost O(n) each time."""
-        if type(candidate) is not int or candidate < 0:
-            raise ValueError("ballots must be candidate indices")
-        if type(voter) is not int or not 0 <= voter < self.n:
-            raise ValueError(f"voter {voter!r} is not an index in "
-                             f"0..{self.n - 1}")
-        ballots = list(self.ballots)
-        ballots[voter] = candidate
-        profile = object.__new__(BallotProfile)
-        object.__setattr__(profile, "ballots", tuple(ballots))
-        return profile
-
 
 def validate_score(score: Score) -> Score:
     if any(type(x) is not int or x < 0 for x in score):

@@ -697,6 +697,9 @@ def generate_instance(seed: int, n: int, m: int, family: str) -> Scenario:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    for name, value in (("seed", seed), ("n", n), ("m", m)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer")
     if n < 1:
         raise ValueError("need at least one voter")
     if m <= 2:

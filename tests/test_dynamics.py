@@ -29,6 +29,7 @@ from credalvote import (
     METRICS,
     MassFunction,
     MoveEvaluation,
+    MoveRecord,
     NESTED,
     PARTITIONED,
     PESSIMISTIC,
@@ -205,9 +206,6 @@ class TestTemplatesAndConfigs:
 
     def test_game_state_validation(self):
         profile = BallotProfile((0, 1))
-        for step_index in (-1, 0.5, True):
-            with pytest.raises(ValueError, match="step must be"):
-                GameState(profile=profile, step=step_index)
         for position in (2, -1, 1.0, True):
             with pytest.raises(ValueError, match="scheduler position"):
                 GameState(profile=profile, next_voter=position)
@@ -264,32 +262,51 @@ class TestStep:
             ((FocalElement.from_points([(1, 2, 3)]), Fraction(1)),))
         config = VoterConfig(preference=Preference((0, 1, 2)), belief=mass,
                              rule=DecisionRule(PESSIMISTIC), utility=MEIR_SIGN)
-        profile = BallotProfile((0, 0))
-        first = step(GameState(profile=profile), (config, config), TIE3)
-        second = step(GameState(profile=profile, next_voter=1),
-                      (config, config), TIE3)
+        ballots = (0, 0)
+        broadcast = tally(ballots, 3)
+        first = step(ballots, 0, broadcast, (config, config), TIE3)
+        second = step(ballots, 1, broadcast, (config, config), TIE3)
         assert first is not None and second is not None
-        assert first[1].voter == 0
-        assert second[1].voter == 1
-        assert first[0].next_voter == 1
-        assert second[0].next_voter == 0
+        assert first[0] == 0
+        assert second[0] == 1
+        assert first[1:] == second[1:]
 
     def test_stable_state_returns_none(self):
         setup = scenario_to_setup(parse_scenario(fixture_text("equilibrium")))
-        assert step(setup.initial, setup.configs, setup.tie) is None
+        ballots = setup.initial.profile.ballots
+        broadcast = tally(ballots, len(setup.tie.order))
+        for position in range(len(ballots)):
+            assert step(ballots, position, broadcast, setup.configs,
+                        setup.tie) is None
 
-    def test_a_stepped_state_carries_its_tally(self):
-        setup = prop_setup()
-        state = setup.initial
-        while (moved := step(state, setup.configs, setup.tie)) is not None:
-            state, record = moved
-            assert state._broadcast == record.score_after == tally(
-                state.profile.ballots, 4)
-            # Not a field: a rebuilt state equals it and tallies afresh.
-            rebuilt = GameState(state.profile, state.step, state.next_voter)
-            assert rebuilt == state and not hasattr(rebuilt, "_broadcast")
-            assert step(rebuilt, setup.configs, setup.tie) == step(
-                state, setup.configs, setup.tie)
+    @settings(deadline=None, max_examples=150)
+    @given(small_games())
+    def test_the_scan_moves_the_first_voter_the_oracle_finds_strict(self,
+                                                                   game):
+        # At every scheduler position: None iff the oracle finds no strict
+        # move anywhere; else the first voter in round-robin order from that
+        # position with a strict destination, and a strict destination.
+        state, configs, tie = game
+        ballots, m = state.profile.ballots, len(tie.order)
+        n, broadcast = len(ballots), tally(ballots, m)
+        strict = []
+        for voter, config in enumerate(configs):
+            mass = config.mass_at(broadcast)
+            evaluations = {to: oracle_evaluation(mass, config, ballots[voter],
+                                                 to, tie)
+                           for to in range(m) if to != ballots[voter]}
+            strict.append({to: e for to, e in evaluations.items()
+                           if e.verdict == STRICTLY_PREFERRED})
+        stable = oracle_equilibrium(state, configs, tie)
+        for position in range(n):
+            move = step(ballots, position, broadcast, configs, tie)
+            assert (move is None) == stable
+            if move is None:
+                continue
+            voter, to, outcome = move
+            assert voter == next(v for v in ((position + k) % n
+                                             for k in range(n)) if strict[v])
+            assert strict[voter].get(to) == outcome
 
     def test_a_ball_past_the_cap_raises(self):
         # 120 ballots spread over six candidates: the radius-12 l1 ball
@@ -300,10 +317,11 @@ class TestStep:
                 (c + k) % 6 for k in range(6))), belief=belief,
                 rule=DecisionRule(PESSIMISTIC), utility=MEIR_SIGN)
             for c in range(6) for _ in range(20))
-        state = GameState(profile=truthful_profile(configs))
+        ballots = truthful_profile(configs).ballots
         with pytest.raises(ExpansionCapError,
                            match="neighborhood expands past cap 100000"):
-            step(state, configs, TieBreakOrder.default(6))
+            step(ballots, 0, tally(ballots, 6), configs,
+                 TieBreakOrder.default(6))
 
 
 @st.composite
@@ -444,30 +462,38 @@ class TestRun:
     @staticmethod
     def whole_state_run(initial, configs, tie, max_steps):
         """The reference: `run` with its cycle check keyed on whole
-        (ballots, scheduler position) states. Also returns how many states
-        had the broadcast and position of an earlier state with other
-        ballots, the key hits that `run` must not take for repeats."""
-        seen, keys, trace, state = {}, set(), [], initial
+        (ballots, scheduler position) states, each state tallied afresh and
+        each move applied here. Also returns how many states had the
+        broadcast and position of an earlier state with other ballots, the
+        key hits that `run` must not take for repeats."""
+        seen, keys, trace = {}, set(), []
+        ballots, position = initial.profile.ballots, initial.next_voter
         false_hits = 0
         while True:
-            ballots = state.profile.ballots
-            start = seen.get((ballots, state.next_voter))
+            state = GameState(BallotProfile(ballots), position)
+            start = seen.get((ballots, position))
             if start is not None:
                 return RunOutcome(CYCLE, len(trace), state, tuple(trace),
                                   start, len(trace) - start), false_hits
-            seen[ballots, state.next_voter] = len(trace)
-            key = (tally(ballots, len(tie.order)), state.next_voter)
-            false_hits += key in keys
-            keys.add(key)
-            moved = step(state, configs, tie)
-            if moved is None:
+            seen[ballots, position] = len(trace)
+            broadcast = tally(ballots, len(tie.order))
+            false_hits += (broadcast, position) in keys
+            keys.add((broadcast, position))
+            move = step(ballots, position, broadcast, configs, tie)
+            if move is None:
                 return RunOutcome(CONVERGED, len(trace), state,
                                   tuple(trace)), false_hits
             if len(trace) == max_steps:
                 return RunOutcome(STEP_LIMIT, len(trace), state,
                                   tuple(trace)), false_hits
-            state, record = moved
-            trace.append(record)
+            voter, to, outcome = move
+            moved = ballots[:voter] + (to,) + ballots[voter + 1:]
+            trace.append(MoveRecord(
+                step=len(trace), voter=voter, frm=ballots[voter], to=to,
+                criterion_value=outcome.criterion_value,
+                score_before=broadcast,
+                score_after=tally(moved, len(tie.order))))
+            ballots, position = moved, (voter + 1) % len(ballots)
 
     def test_run_matches_the_whole_state_reference(self):
         seen = {"late_cycle": 0, "false_hit": 0, "cut": 0}
@@ -499,7 +525,21 @@ class TestRun:
         assert outcome.steps == 2
         assert outcome.trace[0].score_before == (1, 1, 0)
         assert outcome.trace[-1].score_after == (1, 1, 0)
-        assert outcome.final == GameState(BallotProfile((1, 0)), step=2)
+        assert outcome.final == GameState(BallotProfile((1, 0)))
+
+    def test_a_run_tallies_once(self, monkeypatch):
+        # The scan takes each broadcast from the run, which tallies only
+        # the initial ballots and applies each move to that score.
+        calls = []
+
+        def counted(ballots, m):
+            calls.append(m)
+            return tally(ballots, m)
+
+        monkeypatch.setattr(credalvote.dynamics, "tally", counted)
+        outcome = run(*_unpack(prop_setup()))
+        assert outcome.steps == 5
+        assert calls == [4]
 
     def test_a_cycle_that_starts_after_step_0(self):
         # Hurwicz at alpha = 1/3, below Theorem 2's bound of 1/2, with one

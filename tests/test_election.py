@@ -152,21 +152,6 @@ def test_scores_from_profile():
 def test_negative_ballots_rejected():
     with pytest.raises(ValueError):
         BallotProfile((-1,))
-    profile = BallotProfile((0, 2, 1))
-    with pytest.raises(ValueError):
-        profile.with_ballot(1, -1)
-    assert profile.with_ballot(1, 0) == BallotProfile((0, 0, 1))
-
-
-def test_with_ballot_refuses_voters_outside_the_profile():
-    # Voter -1 once changed the last ballot, True the second one, and voter
-    # 3 raised IndexError.
-    profile = BallotProfile((0, 1, 2))
-    for voter in (-1, 3, True, 1.0):
-        with pytest.raises(ValueError, match=f"voter {voter!r} is not an "
-                                             f"index in 0..2"):
-            profile.with_ballot(voter, 0)
-    assert profile.with_ballot(2, 0) == BallotProfile((0, 1, 0))
 
 
 def test_ballots_must_be_integers():
@@ -174,8 +159,6 @@ def test_ballots_must_be_integers():
     for ballots in ((0.5, 1), (True, 1), ("a",)):
         with pytest.raises(ValueError, match="candidate indices"):
             BallotProfile(ballots)
-    with pytest.raises(ValueError, match="candidate indices"):
-        BallotProfile((0, 2, 1)).with_ballot(1, True)
 
 
 def test_winner_examples():

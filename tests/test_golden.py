@@ -38,6 +38,7 @@ FULL_TEXT = ("simulate prop1_counterexample", "check prop1_counterexample",
              "simulate set_box_total", "simulate ball_past_cap",
              "simulate box_total_past_cap", "simulate misspelled_metric",
              "simulate belief_kind_list", "simulate format_version_true",
+             "simulate hurwicz_third_cycle", "simulate hurwicz_third_cut",
              TRACE_RUN)
 STREAMS = ("stdout", "stderr", "trace")
 

@@ -744,6 +744,15 @@ class TestGeneration:
             generate_instance(0, n=3, m=2, family=MEIR_R0)
         with pytest.raises(ValueError, match="at most 26 candidates"):
             generate_instance(1, n=3, m=27, family=MEIR_R0)
+        # A seed of True emitted `"seed": true`, which parse_scenario
+        # refuses; n=True built a one-voter game; n=2.0 and m=3.0 raised a
+        # bare TypeError.
+        for name, seed, n, m in (("seed", True, 3, 3), ("seed", 1.0, 3, 3),
+                                 ("n", 0, True, 3), ("n", 0, 2.0, 3),
+                                 ("m", 0, 3, 3.0), ("m", 0, 3, True)):
+            with pytest.raises(ValueError, match=f"^{name} must be an "
+                                                 f"integer$"):
+                generate_instance(seed, n=n, m=m, family=MEIR_R0)
 
 
 class TestFixtures:
