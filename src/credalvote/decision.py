@@ -9,6 +9,7 @@ the zero threshold unambiguous.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -140,12 +141,14 @@ def _classes(focal: FocalElement) -> tuple[tuple[Score, int], ...]:
     votes that does not lead cannot win either way, and one that leads is at
     the all-zero point, where the destination wins either way.
     """
-    sizes: dict[Score, int] = {}
-    for s in focal.points:
-        top = max(s)
-        gaps = tuple([min(top - x, _CLIP) for x in s])
-        sizes[gaps] = sizes.get(gaps, 0) + 1
-    return tuple(sizes.items())
+    # Column by column, and counted by one Counter over the rows: no tuple
+    # or dict update of its own per point.
+    points = focal.points
+    tops = list(map(max, points))
+    columns = [[top - x if top - x < _CLIP else _CLIP
+                for top, x in zip(tops, column)]
+               for column in zip(*points)]
+    return tuple(Counter(zip(*columns)).items())
 
 
 @lru_cache(maxsize=LRU_SIZE)

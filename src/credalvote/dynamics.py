@@ -164,7 +164,10 @@ def step(ballots: Sequence[int], next_voter: int, broadcast: Score,
          ) -> tuple[int, int, MoveEvaluation] | None:
     """The round-robin scan: (voter, destination, evaluation) for the first
     voter from `next_voter` on that holds a strictly preferred move, or None
-    when the state is stable. `broadcast` must be the tally of `ballots`."""
+    when the state is stable. `broadcast` must be the tally of `ballots`;
+    its entries are checked before any lookup, since the tables take True
+    and 1.0 for 1."""
+    broadcast = validate_score(tuple(broadcast))
     n = len(ballots)
     for k in range(n):
         voter = (next_voter + k) % n

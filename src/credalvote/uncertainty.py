@@ -155,6 +155,7 @@ def _lattice(box, total: int | None = None, center: Score | None = None,
         center = [lo for lo, _ in box]
         budget = sum(hi - lo for lo, hi in box)
     layer: list[tuple[Score, int, int]] = [((), total or 0, budget)]
+    last = len(box) - 1
     for i, ((lo, hi), c) in enumerate(zip(box, center)):
         if total is None:
             ranges = [(max(lo, c - b), min(hi, c + b)) for _, _, b in layer]
@@ -167,10 +168,14 @@ def _lattice(box, total: int | None = None, center: Score | None = None,
                       for _, left, b in layer]
         if sum(z - a + 1 for a, z in ranges) > DEFAULT_CAP:
             raise ExpansionCapError(f"{what} expands past cap {DEFAULT_CAP}")
+        if i == last:  # the points themselves, with nothing left to carry
+            return [prefix + (v,)
+                    for (prefix, _, _), (a, z) in zip(layer, ranges)
+                    for v in range(a, z + 1)]
         layer = [(prefix + (v,), left - v, b - abs(v - c))
                  for (prefix, left, b), (a, z) in zip(layer, ranges)
                  for v in range(a, z + 1)]
-    return [prefix for prefix, _, _ in layer]
+    return [()]  # the one point of an empty box
 
 
 @dataclass(frozen=True)
@@ -239,8 +244,8 @@ class LayeredBelief:
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(self.radii):
             raise ValueError("need one weight per radius")
-        # Kept as integers over their common denominator, for
-        # `layered_to_mass` to fold and `__hash__` to read.
+        # Kept as integers over their common denominator, for `__hash__` to
+        # read.
         den, numerators = _over_common_denominator(weights)
         if any(n <= 0 for n in numerators):
             raise ValueError("layer weights must be positive")
@@ -362,10 +367,9 @@ def layered_to_mass(belief: LayeredBelief, center: Score) -> MassFunction:
     balls and rings."""
     center = validate_score(tuple(center))
     metric, radii = belief.metric, belief.radii
-    den, numerators = belief._scaled
     focals = [_ball(center, metric, radii[0])]
-    weights = [numerators[0]]
-    for r_prev, r, w in zip(radii, radii[1:], numerators[1:]):
+    weights = [belief.weights[0]]
+    for r_prev, r, w in zip(radii, radii[1:], belief.weights[1:]):
         if belief.kind == NESTED:
             ball = _ball(center, metric, r)
             # A ball contains the one before it, so one of the same size is
@@ -378,8 +382,7 @@ def layered_to_mass(belief: LayeredBelief, center: Score) -> MassFunction:
         else:
             focals.append(_ring(center, metric, r_prev, r))
         weights.append(w)
-    return MassFunction(tuple((focal, Fraction(w, den))
-                              for focal, w in zip(focals, weights)))
+    return MassFunction(tuple(zip(focals, weights)))
 
 
 def product_mass(ballot_masses: Sequence[Sequence[tuple[Iterable[int], Fraction]]],

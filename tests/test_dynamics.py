@@ -58,6 +58,7 @@ from credalvote import (
 import credalvote
 from credalvote import uncertainty
 from credalvote.cli import main
+from credalvote.decision import _classes, _move_pairs, _pair_counts
 from credalvote.dynamics import _layered_mass, _least_centre, _strict_options
 from credalvote.oracles import oracle_equilibrium, oracle_evaluation
 from strategies import (
@@ -307,6 +308,24 @@ class TestStep:
             assert voter == next(v for v in ((position + k) % n
                                              for k in range(n)) if strict[v])
             assert strict[voter].get(to) == outcome
+
+    def test_a_refused_broadcast_leaves_the_tables_clean(self):
+        # The tables take 1.0 for 1, so a float broadcast must be refused
+        # before any lookup: a centre of floats stored in the least-centre
+        # table would make the valid call after it fail too.
+        setup = family_setup(2, THEOREM1_NESTED, 12, 4)
+        ballots = setup.initial.profile.ballots
+        configs, tie = setup.configs, setup.tie
+        assert tally(ballots, 4) == (3, 3, 5, 1)
+        for table in (_least_centre, _layered_mass, uncertainty._ball,
+                      uncertainty._ring, _classes, _move_pairs, _pair_counts):
+            table.cache_clear()
+        for _ in range(2):  # on fresh tables, then on warm ones
+            with pytest.raises(ValueError, match=(
+                    "^score entries must be nonnegative integers$")):
+                step(ballots, 0, (3.0, 3.0, 5.0, 1.0), configs, tie)
+            voter, to, _ = step(ballots, 0, (3, 3, 5, 1), configs, tie)
+            assert (voter, to) == (1, 0)
 
     def test_a_ball_past_the_cap_raises(self):
         # 120 ballots spread over six candidates: the radius-12 l1 ball

@@ -33,13 +33,17 @@ TEXT = GOLDEN / "text"
 FIXTURES = ("equilibrium", "example4", "prop1_counterexample")
 COMMANDS = ("simulate", "check", "verify")
 TRACE_RUN = "simulate prop1_counterexample --trace"
+# The roadmap's second reference campaign: its balls reach m = 6 and radius
+# 3, with gaps far past the clip of the gap classes.
+LARGE_CAMPAIGN = ("campaign theorem1_nested --count 5 --voters 200 "
+                  "--candidates 6")
 FULL_TEXT = ("simulate prop1_counterexample", "check prop1_counterexample",
              "verify example4", "campaign theorem1_nested",
              "simulate set_box_total", "simulate ball_past_cap",
              "simulate box_total_past_cap", "simulate misspelled_metric",
              "simulate belief_kind_list", "simulate format_version_true",
              "simulate hurwicz_third_cycle", "simulate hurwicz_third_cut",
-             TRACE_RUN)
+             LARGE_CAMPAIGN, TRACE_RUN)
 STREAMS = ("stdout", "stderr", "trace")
 
 
@@ -68,6 +72,9 @@ def corpus(workdir: pathlib.Path) -> dict[str, dict]:
                     [command, str(path)])
         results[f"campaign {family}"] = _run(
             ["campaign", "--family", family, "--count", "20"])
+    results[LARGE_CAMPAIGN] = _run(
+        ["campaign", "--family", "theorem1_nested", "--count", "5",
+         "--voters", "200", "--candidates", "6"])
     for path in sorted((GOLDEN / "scenarios").glob("*.json")):
         for command in COMMANDS:
             results[f"{command} {path.stem}"] = _run([command, str(path)])

@@ -107,13 +107,15 @@ class TestFocalElement:
 class TestMassFunction:
     def test_weights_must_sum_to_one(self):
         focal = FocalElement.from_points([(1, 0, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^mass weights must sum to exactly 1$"):
             MassFunction(((focal, HALF),))
 
     def test_weights_must_be_positive(self):
         a = FocalElement.from_points([(1, 0, 0)])
         b = FocalElement.from_points([(0, 1, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^every mass weight must be positive$"):
             MassFunction(((a, Fraction(3, 2)), (b, Fraction(-1, 2))))
 
     def test_weights_must_be_exact(self):
@@ -139,7 +141,8 @@ class TestMassFunction:
     def test_duplicate_focals_rejected_across_representations(self):
         box = FocalElement.from_box([(0, 1), (1, 2), (1, 1)], total=3)
         pts = FocalElement.from_points([(1, 1, 1), (0, 2, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=(
+                "^focal elements must be distinct after canonicalization$")):
             MassFunction(((box, HALF), (pts, HALF)))
 
     def test_many_singletons_build_quickly(self):
