@@ -165,14 +165,18 @@ def step(ballots: Sequence[int], next_voter: int, broadcast: Score,
     """The round-robin scan: (voter, destination, evaluation) for the first
     voter from `next_voter` on that holds a strictly preferred move, or None
     when the state is stable. `broadcast` must be the tally of `ballots`;
-    its entries are checked before any lookup, since the tables take True
-    and 1.0 for 1."""
+    its entries, and each scanned voter's ballot, are checked before any
+    lookup, since the tables take True and 1.0 for 1."""
     broadcast = validate_score(tuple(broadcast))
+    m = len(broadcast)
     n = len(ballots)
     for k in range(n):
         voter = (next_voter + k) % n
+        ballot = ballots[voter]
+        if type(ballot) is not int or not 0 <= ballot < m:
+            raise ValueError(f"ballot index {ballot} out of range")
         config = configs[voter]
-        options = _strict_options(config, ballots[voter], broadcast, tie)
+        options = _strict_options(config, ballot, broadcast, tie)
         if options:
             to, outcome = default_policy(options, config.preference)
             return voter, to, outcome

@@ -116,6 +116,8 @@ class BallotProfile:
 
 
 def validate_score(score: Score) -> Score:
+    if not score:
+        raise ValueError("score needs at least one entry")
     if any(type(x) is not int or x < 0 for x in score):
         raise ValueError("score entries must be nonnegative integers")
     return score

@@ -96,8 +96,6 @@ _BELIEF_FIELDS = {NESTED: _LAYERED_FIELDS, PARTITIONED: _LAYERED_FIELDS,
                   "fixed_mass": frozenset({"kind", "assignments"}),
                   "set": frozenset({"kind", "focal"}),
                   "probability": frozenset({"kind", "support"})}
-_ASSIGNMENT_FIELDS = frozenset({"focal", "weight"})
-_SUPPORT_FIELDS = frozenset({"score", "prob"})
 _POINTS_FIELDS = frozenset({"points"})
 _BOX_FIELDS = frozenset({"box", "total"})
 _SCHEDULER_FIELDS = frozenset({"max_steps"})
@@ -230,15 +228,34 @@ def _parse_focal(raw, m: int | None, path: str,
     return _built(path, errors, FocalElement.from_box, box, total)
 
 
+def _parse_point(value, m: int | None, path: str,
+                 errors: list[str]) -> FocalElement | None:
+    """A score as a one-point focal element."""
+    score = _parse_score(value, m, path, errors)
+    if score is None:
+        return None
+    return _built(path, errors, FocalElement.from_points, [score])
+
+
+# Each weighted belief kind: its list of entries, and each entry's focal key,
+# weight key and focal parser.
+_WEIGHTED = {"fixed_mass": ("assignments", "focal", "weight", _parse_focal),
+             "probability": ("support", "score", "prob", _parse_point)}
+
+
 def _parse_belief(raw, m: int | None, path: str,
                   errors: list[str]) -> LayeredBelief | MassFunction | None:
     if not isinstance(raw, dict):
         errors.append(f"{path}: expected an object")
         return None
     kind = raw.get("kind")
-    # A list or object kind cannot be looked up, and is reported as unknown.
-    known = _BELIEF_FIELDS.get(kind) if isinstance(kind, str) else None
-    if known is not None and _unknown_fields(raw, known, path, errors):
+    kinds = list(_BELIEF_FIELDS)
+    # A list or object kind matches none, so it is reported as unknown.
+    if kind not in kinds:
+        errors.append(f"{path}.kind: unknown belief kind {kind!r}, expected "
+                      f"one of {kinds}")
+        return None
+    if _unknown_fields(raw, _BELIEF_FIELDS[kind], path, errors):
         return None
     if kind in (NESTED, PARTITIONED):
         metric = raw.get("metric", L1_ADDREMOVE)
@@ -261,51 +278,32 @@ def _parse_belief(raw, m: int | None, path: str,
             return None
         return _built(path, errors, LayeredBelief, kind, tuple(radii),
                       tuple(weights), metric)
-    if kind == "fixed_mass":
-        assignments = raw.get("assignments")
-        if not isinstance(assignments, list) or not assignments:
-            errors.append(f"{path}.assignments: expected a nonempty list")
-            return None
-        pairs = []
-        for i, entry in enumerate(assignments):
-            sub = f"{path}.assignments[{i}]"
-            if not isinstance(entry, dict):
-                errors.append(f"{sub}: expected an object")
-                return None
-            if _unknown_fields(entry, _ASSIGNMENT_FIELDS, sub, errors):
-                return None
-            focal = _parse_focal(entry.get("focal"), m, f"{sub}.focal", errors)
-            weight = _parse_fraction(entry.get("weight"), f"{sub}.weight", errors)
-            if focal is None or weight is None:
-                return None
-            pairs.append((focal, weight))
-    elif kind == "set":
+    if kind == "set":
         focal = _parse_focal(raw.get("focal"), m, f"{path}.focal", errors)
         if focal is None:
             return None
-        pairs = [(focal, Fraction(1))]
-    elif kind == "probability":
-        support = raw.get("support")
-        if not isinstance(support, list) or not support:
-            errors.append(f"{path}.support: expected a nonempty list")
-            return None
-        pairs = []
-        for i, entry in enumerate(support):
-            sub = f"{path}.support[{i}]"
-            if not isinstance(entry, dict):
-                errors.append(f"{sub}: expected an object")
-                return None
-            if _unknown_fields(entry, _SUPPORT_FIELDS, sub, errors):
-                return None
-            score = _parse_score(entry.get("score"), m, f"{sub}.score", errors)
-            prob = _parse_fraction(entry.get("prob"), f"{sub}.prob", errors)
-            if score is None or prob is None:
-                return None
-            pairs.append((FocalElement.from_points([score]), prob))
-    else:
-        errors.append(f"{path}.kind: unknown belief kind {kind!r}, expected one "
-                      f"of ['nested', 'partitioned', 'fixed_mass', 'set', 'probability']")
+        return _built(path, errors, MassFunction, ((focal, Fraction(1)),))
+    key, focal_key, weight_key, parse_focal = _WEIGHTED[kind]
+    entries = raw.get(key)
+    if not isinstance(entries, list) or not entries:
+        errors.append(f"{path}.{key}: expected a nonempty list")
         return None
+    fields = frozenset((focal_key, weight_key))
+    pairs = []
+    for i, entry in enumerate(entries):
+        sub = f"{path}.{key}[{i}]"
+        if not isinstance(entry, dict):
+            errors.append(f"{sub}: expected an object")
+            return None
+        if _unknown_fields(entry, fields, sub, errors):
+            return None
+        focal = parse_focal(entry.get(focal_key), m, f"{sub}.{focal_key}",
+                            errors)
+        weight = _parse_fraction(entry.get(weight_key),
+                                 f"{sub}.{weight_key}", errors)
+        if focal is None or weight is None:
+            return None
+        pairs.append((focal, weight))
     return _built(path, errors, MassFunction, tuple(pairs))
 
 

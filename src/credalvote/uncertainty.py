@@ -115,6 +115,8 @@ class FocalElement:
     def from_box(cls, intervals, total: int | None = None) -> "FocalElement":
         """The integer points of a box, filtered to an exact total if given."""
         box = tuple((lo, hi) for lo, hi in intervals)
+        if not box:
+            raise ValueError("box needs at least one interval")
         for lo, hi in box:
             if type(lo) is not int or type(hi) is not int:
                 raise ValueError("box bounds must be integers")
@@ -139,7 +141,7 @@ def _lattice(box, total: int | None = None, center: Score | None = None,
              budget: int = 0) -> list[Score]:
     """The integer points of `box` in lexicographic order, only those summing
     to `total` if it is given, and only those within l1 distance `budget` of
-    `center`, a point of the box, if that is given.
+    `center`, a point of the box, if that is given; the box is not empty.
 
     Each prefix carries the total and the budget b it leaves. A value's
     range keeps the prefix completable, so every layer is counted exactly,
@@ -175,7 +177,6 @@ def _lattice(box, total: int | None = None, center: Score | None = None,
         layer = [(prefix + (v,), left - v, b - abs(v - c))
                  for (prefix, left, b), (a, z) in zip(layer, ranges)
                  for v in range(a, z + 1)]
-    return [()]  # the one point of an empty box
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,9 @@ class MassFunction:
             raise ValueError("focal elements must hold scores of one length")
         # The weights as integers over their common denominator, checked and
         # aggregated in integers.
-        den, numerators = _over_common_denominator(w for _, w in norm)
+        den = math.lcm(*(w.denominator for _, w in norm))
+        numerators = tuple(w.numerator * (den // w.denominator)
+                           for _, w in norm)
         if any(n <= 0 for n in numerators):
             raise ValueError("every mass weight must be positive")
         if sum(numerators) != den:
@@ -201,14 +204,6 @@ class MassFunction:
         if len({focal for focal, _ in norm}) != len(norm):
             raise ValueError("focal elements must be distinct after canonicalization")
         object.__setattr__(self, "_scaled", (den, numerators))
-
-
-def _over_common_denominator(
-        weights: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """Weights as (common denominator, numerators over it)."""
-    weights = tuple(weights)
-    den = math.lcm(*(w.denominator for w in weights))
-    return den, tuple(w.numerator * (den // w.denominator) for w in weights)
 
 
 @dataclass(frozen=True)
@@ -244,22 +239,17 @@ class LayeredBelief:
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(self.radii):
             raise ValueError("need one weight per radius")
-        # Kept as integers over their common denominator, for `__hash__` to
-        # read.
-        den, numerators = _over_common_denominator(weights)
-        if any(n <= 0 for n in numerators):
+        if any(w <= 0 for w in weights):
             raise ValueError("layer weights must be positive")
-        if sum(numerators) != den:
+        if sum(weights) != 1:
             raise ValueError("layer weights must sum to exactly 1")
-        object.__setattr__(self, "_scaled", (den, numerators))
 
     def __hash__(self):
-        # Equal beliefs have equal radii and integer weights. Hashing only
-        # those ints skips a Python-level Fraction hash per weight, and
-        # gives the same value in every process.
+        # Equal beliefs have equal radii and weights. The hash is taken once
+        # and kept, since every recentred-mass lookup hashes the belief.
         cached = getattr(self, "_hash", None)
         if cached is None:
-            cached = hash((self.radii, self._scaled))
+            cached = hash((self.radii, self.weights))
             object.__setattr__(self, "_hash", cached)
         return cached
 

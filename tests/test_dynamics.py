@@ -41,6 +41,7 @@ from credalvote import (
     THEOREM1_NESTED,
     TieBreakOrder,
     UTILITY_MODELS,
+    VOTER_SWAP,
     VoterConfig,
     campaign,
     default_policy,
@@ -48,6 +49,7 @@ from credalvote import (
     evaluate_move,
     family_setup,
     fixture_text,
+    neighborhood,
     parse_scenario,
     run,
     scenario_to_setup,
@@ -327,6 +329,25 @@ class TestStep:
             voter, to, _ = step(ballots, 0, (3, 3, 5, 1), configs, tie)
             assert (voter, to) == (1, 0)
 
+    def test_a_refused_ballot_leaves_the_tables_clean(self):
+        # A scanned voter's ballot indexes the move tables, which take True
+        # for 1, so it is refused as `tally` refuses it, before any lookup.
+        setup = family_setup(2, THEOREM1_NESTED, 12, 4)
+        ballots = setup.initial.profile.ballots
+        configs, tie = setup.configs, setup.tie
+        assert ballots[0] == 1
+        for table in (_least_centre, _layered_mass, uncertainty._ball,
+                      uncertainty._ring, _classes, _move_pairs, _pair_counts):
+            table.cache_clear()
+        for _ in range(2):  # on fresh tables, then on warm ones
+            for bad, shown in ((tuple(map(float, ballots)), "1.0"),
+                               ((True,) + ballots[1:], "True")):
+                with pytest.raises(ValueError, match=(
+                        f"^ballot index {shown} out of range$")):
+                    step(bad, 0, (3, 3, 5, 1), configs, tie)
+            voter, to, _ = step(ballots, 0, (3, 3, 5, 1), configs, tie)
+            assert (voter, to) == (1, 0)
+
     def test_a_ball_past_the_cap_raises(self):
         # 120 ballots spread over six candidates: the radius-12 l1 ball
         # around (20, ..., 20) passes the cap while the first voter scans.
@@ -575,6 +596,43 @@ class TestRun:
         assert (outcome.status, outcome.steps, outcome.cycle_start,
                 outcome.cycle_length) == (CYCLE, 9, 1, 8)
         assert outcome == self.whole_state_run(*game)[0]
+
+    def test_prop1_cycle_is_an_oracle_checked_cycle(self):
+        # Proposition 1 from a truthful start: the bundled pignistic witness
+        # cycles at once, voter 2 moving c -> d and back. Each move is
+        # re-derived by the oracle over the raw radius-1 voter-swap ball at
+        # the broadcast its mover saw, and no voter the scan passes over
+        # holds a strict move there.
+        setup = scenario_to_setup(parse_scenario(fixture_text("prop1_cycle")))
+        outcome = run(setup.initial, setup.configs, setup.tie, setup.max_steps)
+        assert (outcome.status, outcome.steps, outcome.cycle_start,
+                outcome.cycle_length) == (CYCLE, 2, 0, 2)
+        assert [(r.voter, r.frm, r.to, r.criterion_value)
+                for r in outcome.trace] == [(2, 2, 3, Fraction(1, 8)),
+                                            (2, 3, 2, Fraction(1, 8))]
+        ballots = list(setup.initial.profile.ballots)
+        n, m = len(ballots), len(setup.tie.order)
+        position = setup.initial.next_voter
+        passed_over = []
+        for record in outcome.trace:
+            mass = MassFunction(((neighborhood(record.score_before,
+                                               VOTER_SWAP, 1), Fraction(1)),))
+            while position != record.voter:
+                passed_over.append(position)
+                config = setup.configs[position]
+                assert all(oracle_evaluation(
+                    mass, config, ballots[position], to, setup.tie).verdict
+                    != STRICTLY_PREFERRED
+                    for to in range(m) if to != ballots[position])
+                position = (position + 1) % n
+            oracle = oracle_evaluation(mass, setup.configs[record.voter],
+                                       record.frm, record.to, setup.tie)
+            assert oracle.verdict == STRICTLY_PREFERRED
+            assert oracle.criterion_value == record.criterion_value
+            ballots[record.voter] = record.to
+            position = (record.voter + 1) % n
+        assert passed_over == [0, 1, 0, 1]
+        assert tuple(ballots) == setup.initial.profile.ballots
 
     def test_a_run_keeps_no_profile_per_step(self):
         # 300 moves at n = 1000: a run that kept each step's ballots would

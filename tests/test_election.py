@@ -133,6 +133,9 @@ def test_validate_score():
             validate_score(bad)
     with pytest.raises(ValueError, match="nonnegative integers"):
         FocalElement.from_points([(True, 0, 1), (0, 2, 1)])
+    # An empty score has no candidate, so no winner.
+    with pytest.raises(ValueError, match="^score needs at least one entry$"):
+        validate_score(())
     assert validate_score((0, 3, 2)) == (0, 3, 2)
 
 

@@ -30,7 +30,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 PINS = GOLDEN / "pins.json"
 TEXT = GOLDEN / "text"
 
-FIXTURES = ("equilibrium", "example4", "prop1_counterexample")
+FIXTURES = ("equilibrium", "example4", "prop1_counterexample", "prop1_cycle")
 COMMANDS = ("simulate", "check", "verify")
 TRACE_RUN = "simulate prop1_counterexample --trace"
 # The roadmap's second reference campaign: its balls reach m = 6 and radius
@@ -43,6 +43,7 @@ FULL_TEXT = ("simulate prop1_counterexample", "check prop1_counterexample",
              "simulate box_total_past_cap", "simulate misspelled_metric",
              "simulate belief_kind_list", "simulate format_version_true",
              "simulate hurwicz_third_cycle", "simulate hurwicz_third_cut",
+             "simulate prop1_cycle",
              LARGE_CAMPAIGN, TRACE_RUN)
 STREAMS = ("stdout", "stderr", "trace")
 

@@ -68,7 +68,8 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 MINIMAL_VOTER = json.loads(MINIMAL)["voters"][0]
 
-FIXTURES = ("example4", "prop1_counterexample", "equilibrium")
+FIXTURES = ("example4", "prop1_counterexample", "equilibrium",
+            "prop1_cycle")
 
 
 def voter_json(belief, rule='{"kind": "pessimistic"}', family=None):
@@ -188,6 +189,50 @@ class TestParse:
          "belief.support[0]: expected an object"),
         ({"kind": "probability", "support": [{"score": [1, 0], "prob": "1"}]},
          "belief.support[0].score: expected 3 entries, got 2"),
+        ({"kind": "fixed_mass", "assignments": [
+            {"focal": {"points": [[1, 0, 0]]}}]},
+         'belief.assignments[0].weight: rationals must be "p/q" strings or '
+         'integers'),
+        ({"kind": "fixed_mass", "assignments": [{"weight": "1"}]},
+         "belief.assignments[0].focal: expected an object with points or box"),
+        ({"kind": "fixed_mass", "assignments": [
+            {"focal": {"points": [[1, 0, 0]]}, "weight": "1/0"}]},
+         "belief.assignments[0].weight: not a rational number: '1/0'"),
+        ({"kind": "fixed_mass", "assignments": [
+            {"focal": {"points": [[1, 0, 0]]}, "weight": 0.5}]},
+         'belief.assignments[0].weight: rationals must be "p/q" strings or '
+         'integers'),
+        ({"kind": "fixed_mass", "assignments": [
+            {"focal": {"points": [[1, 0, 0]]}, "weight": "1/2"},
+            {"focal": {"points": [[1, 0, 0]]}, "weight": "1/2"}]},
+         "belief: focal elements must be distinct after canonicalization"),
+        ({"kind": "fixed_mass", "assignments": {"weight": "1"}},
+         "belief.assignments: expected a nonempty list"),
+        ({"kind": "fixed_mass", "support": [{"score": [1, 0, 0],
+                                             "prob": "1"}]},
+         "belief.support: unknown field"),
+        ({"kind": "probability", "support": [{"score": [1, 0, 0],
+                                              "prob": "x"}]},
+         "belief.support[0].prob: not a rational number: 'x'"),
+        ({"kind": "probability", "support": [{"score": [1, 0, 0]}]},
+         'belief.support[0].prob: rationals must be "p/q" strings or '
+         'integers'),
+        ({"kind": "probability", "support": [{"prob": "1"}]},
+         "belief.support[0].score: expected a list of integers"),
+        ({"kind": "probability", "support": [
+            {"prob": "1", "score": [0, 0, 1], "weight": "1"}]},
+         "belief.support[0].weight: unknown field"),
+        ({"kind": "probability", "support": [
+            {"score": [1, 0, 0], "prob": "0"},
+            {"score": [0, 1, 0], "prob": "1"}]},
+         "belief: every mass weight must be positive"),
+        ({"kind": "probability", "support": [
+            {"score": [1, 0, 0], "prob": "1/2"},
+            {"score": [1, 0, 0], "prob": "1/2"}]},
+         "belief: focal elements must be distinct after canonicalization"),
+        ({"kind": "probability", "support": [
+            {"score": [1, 0, 0], "prob": "1/3"}]},
+         "belief: mass weights must sum to exactly 1"),
     ], ids=lambda value: value.split(":")[0] if type(value) is str else None)
     def test_unknown_belief_fields_refused(self, belief, error):
         # Equal invalid beliefs each report under their own voter.
@@ -228,6 +273,53 @@ class TestParse:
             "candidates: need more than two candidates",
             "voters[0].belief: focal elements must hold scores of one "
             "length")),
+        # An entry of a fixed_mass or probability belief reports both its
+        # focal (or score) and its weight; the first bad entry ends the list.
+        ({"voters": [dict(MINIMAL_VOTER, belief={
+            "kind": "fixed_mass", "assignments": [
+                {"focal": {"points": [[1, 0]]}, "weight": True}]})]}, (
+            "voters[0].belief.assignments[0].focal.points[0]: expected 3 "
+            "entries, got 2",
+            'voters[0].belief.assignments[0].weight: rationals must be "p/q" '
+            'strings or integers')),
+        ({"voters": [dict(MINIMAL_VOTER, belief={
+            "kind": "fixed_mass", "assignments": [
+                {"focal": {"points": [[1, 0, 0]]}, "weight": "1/2"},
+                {"focal": 1, "weight": "x"},
+                {"focal": 2, "weight": "y"}]})]}, (
+            "voters[0].belief.assignments[1].focal: expected an object with "
+            "points or box",
+            "voters[0].belief.assignments[1].weight: not a rational number: "
+            "'x'")),
+        ({"voters": [dict(MINIMAL_VOTER, belief={
+            "kind": "probability", "support": [
+                {"score": [1, -1, 0], "prob": [1]}]})]}, (
+            "voters[0].belief.support[0].score: score entries must be "
+            "nonnegative",
+            'voters[0].belief.support[0].prob: rationals must be "p/q" '
+            'strings or integers')),
+        ({"voters": [dict(MINIMAL_VOTER, belief={
+            "kind": "probability", "support": [
+                {"score": [1, 0, 0], "prob": "1/2"},
+                {"score": [1.0, 0, 0], "prob": "1/0"}]})]}, (
+            "voters[0].belief.support[1].score: expected a list of integers",
+            "voters[0].belief.support[1].prob: not a rational number: "
+            "'1/0'")),
+        ({"voters": [dict(MINIMAL_VOTER, belief={
+            "kind": "probability", "support": [
+                {"focal": {"points": [[1, 0, 0]]}, "weight": "1"}]})]}, (
+            "voters[0].belief.support[0].focal: unknown field",
+            "voters[0].belief.support[0].weight: unknown field")),
+        # An empty score or box is refused where it is built.
+        ({"candidates": ["a", "b"], "voters": [dict(MINIMAL_VOTER, belief={
+            "kind": "probability", "support": [{"score": [], "prob": "1"}]})]},
+         ("candidates: need more than two candidates",
+          "voters[0].belief.support[0].score: score needs at least one "
+          "entry")),
+        ({"candidates": ["a", "b"], "voters": [dict(MINIMAL_VOTER, belief={
+            "kind": "set", "focal": {"box": []}})]}, (
+            "candidates: need more than two candidates",
+            "voters[0].belief.focal: box needs at least one interval")),
     ], ids=lambda value: value[0].split(":")[0] if type(value) is tuple
         else None)
     def test_scenario_refusals(self, edit, errors):
@@ -730,7 +822,6 @@ class TestGeneration:
                                        belief.weights, belief.metric)
                 assert belief == public
                 assert hash(belief) == hash(public)
-                assert belief._scaled == public._scaled
                 assert all(type(w) is Fraction for w in belief.weights)
                 assert drawn.setdefault(public, belief) is belief
         assert len(drawn) < 36

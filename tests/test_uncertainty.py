@@ -87,6 +87,13 @@ class TestFocalElement:
             FocalElement.from_box([(0, 1), (0, 1)], total=5)
         with pytest.raises(ValueError):
             FocalElement.from_box([(2, 1)])
+        # An empty box or score would make a point with no candidate.
+        with pytest.raises(ValueError,
+                           match="^box needs at least one interval$"):
+            FocalElement.from_box([])
+        with pytest.raises(ValueError,
+                           match="^score needs at least one entry$"):
+            FocalElement(((),))
 
     def test_total_needs_box(self):
         # A focal element is its points; only from_box takes a total.
@@ -330,6 +337,9 @@ class TestNeighborhoods:
                     neighborhood((1, 2, 3), metric, radius)
             with pytest.raises(ValueError, match="radius must be nonnegative"):
                 neighborhood((1, 2, 3), metric, -1)
+            with pytest.raises(ValueError,
+                               match="^score needs at least one entry$"):
+                neighborhood((), metric, 1)
 
     def test_huge_swap_radius_is_immediate(self):
         # Every score reachable from (5, 5, 5) is ten reassignments away at
@@ -608,7 +618,7 @@ class TestLayered:
 
     @given(layered_beliefs())
     def test_hash_agrees_with_equality(self, belief):
-        # The hash is taken once, over the weights as integers.
+        # The hash is taken once, over the radii and weights.
         twin = LayeredBelief(belief.kind, list(belief.radii),
                              [str(w) for w in belief.weights], belief.metric)
         assert twin == belief
