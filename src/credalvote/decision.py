@@ -203,10 +203,6 @@ def _focal_stats(focal: FocalElement, model: str, rank: Sequence[int],
     """
     counts = _pair_counts(focal, frm, tie.order).get(to)
     if counts is None:
-        # A live destination is a candidate, and so is the `frm` of any
-        # stored key; an absent one is checked here.
-        if not 0 <= to < len(rank):
-            raise ValueError("candidate index out of range")
         return 0, 0, 0, len(focal.points)
     # Every value lies within m - 1 of zero.
     lo, hi, total, n = len(rank), -len(rank), 0, 0
@@ -233,18 +229,24 @@ def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
     Sums run in integers over the weights' common denominator, and the
     verdict is read from their signs; each reported value becomes one
     Fraction when first read, and lower <= upper holds by construction.
+    `frm` and `to` are checked before any lookup, since the tables take
+    True and 1.0 for 1.
     """
     if model not in UTILITY_MODELS:
         raise ValueError(f"unknown utility model {model!r}")
+    rank = voter_pref._rank
+    m = len(rank)
+    # A mass of another size is refused by plurality_winner in _move_pairs.
+    if m != len(tie.order):
+        raise ValueError("preference and tie-break order differ in candidates")
+    if not (type(frm) is int and type(to) is int and 0 <= frm < m
+            and 0 <= to < m):
+        raise ValueError("candidate index out of range")
     den, numerators = mass._scaled
     lower = upper = 0
     # The pignistic sum is pig / (den * pig_den).
     pig, pig_den = 0, 1
     want_pig = rule.kind in (PIGNISTIC, MIXTURE)
-    rank = voter_pref._rank
-    # A mass of another size is refused by plurality_winner in _move_pairs.
-    if len(rank) != len(tie.order):
-        raise ValueError("preference and tie-break order differ in candidates")
     for (focal, _), w in zip(mass.assignments, numerators):
         lo, hi, total, n = _focal_stats(focal, model, rank, frm, to, tie)
         lower += w * lo

@@ -28,6 +28,7 @@ from .decision import (
     MoveEvaluation,
     STRICTLY_PREFERRED,
     UTILITY_MODELS,
+    _CLIP,
     _pair_counts,
     evaluate_move,
 )
@@ -111,18 +112,21 @@ class RunOutcome:
 
 @lru_cache(maxsize=LRU_SIZE)
 def _least_centre(broadcast: Score, radius: int) -> Score:
-    """The componentwise-least score whose gaps to the top, clipped at 2R+3,
-    and entries, clipped at R+1, equal the broadcast's, for R = `radius`.
+    """The componentwise-least score whose gaps to the top, clipped at
+    2R + _CLIP, and entries, clipped at R+1, equal the broadcast's, for
+    R = `radius`. _CLIP is the gap classes' own clip, so the two change
+    together.
 
     Such centres give equal (winner-before, winner-after) counts for every
     move over each ball of radius r <= R, so over each ring: a point of the
-    ball moves a gap by at most 2r and a move by 2 more, so a candidate 2r+3
-    behind never wins; an entry above r stays clear of the ball's bound at 0
-    and of apply_move's clamp; the candidates nearer the top shift as one,
-    which keeps their order and voter_swap's leader. Each clipped gap plus
+    ball moves a gap by at most 2r, and a candidate _CLIP behind the top
+    loses before and after any move, so one 2r + _CLIP behind never wins;
+    an entry above r stays clear of the ball's bound at 0 and of
+    apply_move's clamp; the candidates nearer the top shift as one, which
+    keeps their order and voter_swap's leader. Each clipped gap plus
     clipped entry bounds the least top from below; the true top meets all.
     """
-    clip, top = 2 * radius + 3, max(broadcast)
+    clip, top = 2 * radius + _CLIP, max(broadcast)
     signature = [(min(top - c, clip), min(c, radius + 1)) for c in broadcast]
     least_top = max(gap + entry for gap, entry in signature)
     return tuple(least_top - gap if gap < clip else entry
@@ -165,11 +169,16 @@ def step(ballots: Sequence[int], next_voter: int, broadcast: Score,
     """The round-robin scan: (voter, destination, evaluation) for the first
     voter from `next_voter` on that holds a strictly preferred move, or None
     when the state is stable. `broadcast` must be the tally of `ballots`;
-    its entries, and each scanned voter's ballot, are checked before any
-    lookup, since the tables take True and 1.0 for 1."""
+    its entries, the position, the count of configs and each scanned
+    voter's ballot are checked before any lookup, since the tables take
+    True and 1.0 for 1."""
     broadcast = validate_score(tuple(broadcast))
     m = len(broadcast)
     n = len(ballots)
+    if type(next_voter) is not int or not 0 <= next_voter < n:
+        raise ValueError("scheduler position out of range")
+    if len(configs) != n:
+        raise _sizes_error(n, tie)
     for k in range(n):
         voter = (next_voter + k) % n
         ballot = ballots[voter]
@@ -183,14 +192,18 @@ def step(ballots: Sequence[int], next_voter: int, broadcast: Score,
     return None
 
 
+def _sizes_error(n: int, tie: TieBreakOrder) -> ValueError:
+    return ValueError(f"need {n} voter configs, each ranking the tie "
+                      f"order's {len(tie.order)} candidates")
+
+
 def _check_sizes(state: GameState, configs: Sequence[VoterConfig],
                  tie: TieBreakOrder) -> None:
     """Refuse a game whose voters, ballots and candidates disagree."""
     m = len(tie.order)
     if len(configs) != state.profile.n or any(
             len(c.preference.ranking) != m for c in configs):
-        raise ValueError(f"need {state.profile.n} voter configs, each "
-                         f"ranking the tie order's {m} candidates")
+        raise _sizes_error(state.profile.n, tie)
 
 
 def equilibrium_check(state: GameState, configs: Sequence[VoterConfig],
@@ -294,6 +307,8 @@ def campaign(make_instance: Callable[[int], RunSetup], count: int,
     outcomes keep their full traces for serialization."""
     if type(count) is not int or count < 1:
         raise ValueError("count must be an integer of at least 1")
+    if type(base_seed) is not int:
+        raise ValueError("base_seed must be an integer")
     rows = []
     cycles = []
     converged = 0

@@ -528,21 +528,25 @@ class TestPairCountCache:
     def test_out_of_range_moves_raise(self):
         # A destination missing from the table of live ones changes no
         # winner, unless it is no candidate at all: cold and warm tables
-        # refuse such moves alike.
+        # refuse such moves alike. The tables take True and 1.0 for 1, so a
+        # frm of 1.0 once raised a bare TypeError on cold tables and ran on
+        # warm ones, and a `to` of 2.0 or True was read as 2 or 1.
         mass = MassFunction(((neighborhood((2, 1, 0), L1_ADDREMOVE, 1),
                               Fraction(1)),))
         rule = DecisionRule(PIGNISTIC)
-        bad = [(frm, to) for frm, to in itertools.product((-1, 0, 3), repeat=2)
-               if 3 in (frm, to) or -1 in (frm, to)]
+        bad = [(frm, to) for frm, to in itertools.product(
+                   (0, -1, 3, 1.0, 2.0, True), repeat=2) if (frm, to) != (0, 0)]
         for frm, to in bad:
             clear_tables()
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError,
+                               match="^candidate index out of range$"):
                 evaluate_move(mass, rule, MEIR_SIGN, self.PREF_BAC, frm, to,
                               TIE3)
         for frm, to in itertools.product(range(3), repeat=2):
             evaluate_move(mass, rule, MEIR_SIGN, self.PREF_BAC, frm, to, TIE3)
         for frm, to in bad:
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError,
+                               match="^candidate index out of range$"):
                 evaluate_move(mass, rule, MEIR_SIGN, self.PREF_BAC, frm, to,
                               TIE3)
 

@@ -23,6 +23,7 @@ from credalvote import (
     FocalElement,
     GameState,
     HURWICZ,
+    L1_ADDREMOVE,
     LayeredBelief,
     MEIR_R0,
     MEIR_SIGN,
@@ -68,6 +69,7 @@ from strategies import (
 
 THIRD = Fraction(1, 3)
 TIE3 = TieBreakOrder.default(3)
+GOLDEN_SCENARIOS = pathlib.Path(__file__).parent / "golden" / "scenarios"
 
 
 def package_modules():
@@ -348,6 +350,27 @@ class TestStep:
             voter, to, _ = step(ballots, 0, (3, 3, 5, 1), configs, tie)
             assert (voter, to) == (1, 0)
 
+    def test_positions_and_config_counts_are_refused(self):
+        # The position and the configs index the scan, so both are checked
+        # before it: positions 99 and -1 were wrapped, 1.0 raised a bare
+        # TypeError and True was read as 1; 3 configs for 12 ballots raised
+        # a bare IndexError; and no ballots at all returned None.
+        setup = family_setup(2, THEOREM1_NESTED, 12, 4)
+        ballots = setup.initial.profile.ballots
+        configs, tie = setup.configs, setup.tie
+        cases = [(ballots, p) for p in (99, -1, 12, 1.0, True)] + [((), 0)]
+        for bad, position in cases:
+            with pytest.raises(ValueError, match=(
+                    "^scheduler position out of range$")):
+                step(bad, position, (3, 3, 5, 1), configs, tie)
+        for wrong in (configs[:3], configs + configs[:1]):
+            with pytest.raises(ValueError, match=(
+                    "^need 12 voter configs, each ranking the tie order's 4 "
+                    "candidates$")):
+                step(ballots, 2, (3, 3, 5, 1), wrong, tie)
+        voter, to, _ = step(ballots, 0, (3, 3, 5, 1), configs, tie)
+        assert (voter, to) == (1, 0)
+
     def test_a_ball_past_the_cap_raises(self):
         # 120 ballots spread over six candidates: the radius-12 l1 ball
         # around (20, ..., 20) passes the cap while the first voter scans.
@@ -597,28 +620,44 @@ class TestRun:
                 outcome.cycle_length) == (CYCLE, 9, 1, 8)
         assert outcome == self.whole_state_run(*game)[0]
 
-    def test_prop1_cycle_is_an_oracle_checked_cycle(self):
+    @pytest.mark.parametrize("text, metric, pinned, moves, passed_over", [
         # Proposition 1 from a truthful start: the bundled pignistic witness
-        # cycles at once, voter 2 moving c -> d and back. Each move is
-        # re-derived by the oracle over the raw radius-1 voter-swap ball at
+        # cycles at once, voter 2 moving c -> d and back.
+        pytest.param(fixture_text("prop1_cycle"), VOTER_SWAP, (2, 0, 2),
+                     [(2, 2, 3, Fraction(1, 8)), (2, 3, 2, Fraction(1, 8))],
+                     [0, 1, 0, 1], id="prop1_cycle"),
+        # Hurwicz at alpha = 1/3, below Theorem 2's bound of 1/2: one move
+        # from the truthful start, then a cycle of eight.
+        pytest.param(
+            (GOLDEN_SCENARIOS / "hurwicz_third_cycle.json").read_text(
+                encoding="utf-8"), L1_ADDREMOVE, (9, 1, 8),
+            [(1, 1, 2, THIRD), (2, 2, 0, THIRD), (3, 1, 2, 2 * THIRD),
+             (2, 0, 2, 2 * THIRD), (3, 2, 1, THIRD), (0, 0, 1, THIRD),
+             (1, 2, 1, 2 * THIRD), (0, 1, 0, 2 * THIRD), (1, 1, 2, THIRD)],
+            [0, 0, 1, 2, 3], id="hurwicz_third_cycle"),
+    ])
+    def test_a_witness_cycle_is_an_oracle_checked_cycle(
+            self, text, metric, pinned, moves, passed_over):
+        # Each move is re-derived by the oracle over the raw radius-1 ball at
         # the broadcast its mover saw, and no voter the scan passes over
-        # holds a strict move there.
-        setup = scenario_to_setup(parse_scenario(fixture_text("prop1_cycle")))
+        # holds a strict move there. The run ends in the state it held before
+        # the cycle's first move.
+        setup = scenario_to_setup(parse_scenario(text))
         outcome = run(setup.initial, setup.configs, setup.tie, setup.max_steps)
         assert (outcome.status, outcome.steps, outcome.cycle_start,
-                outcome.cycle_length) == (CYCLE, 2, 0, 2)
+                outcome.cycle_length) == (CYCLE, *pinned)
         assert [(r.voter, r.frm, r.to, r.criterion_value)
-                for r in outcome.trace] == [(2, 2, 3, Fraction(1, 8)),
-                                            (2, 3, 2, Fraction(1, 8))]
+                for r in outcome.trace] == moves
         ballots = list(setup.initial.profile.ballots)
         n, m = len(ballots), len(setup.tie.order)
         position = setup.initial.next_voter
-        passed_over = []
+        states, passed = [], []
         for record in outcome.trace:
-            mass = MassFunction(((neighborhood(record.score_before,
-                                               VOTER_SWAP, 1), Fraction(1)),))
+            states.append((tuple(ballots), position))
+            mass = MassFunction(((neighborhood(record.score_before, metric, 1),
+                                  Fraction(1)),))
             while position != record.voter:
-                passed_over.append(position)
+                passed.append(position)
                 config = setup.configs[position]
                 assert all(oracle_evaluation(
                     mass, config, ballots[position], to, setup.tie).verdict
@@ -631,8 +670,8 @@ class TestRun:
             assert oracle.criterion_value == record.criterion_value
             ballots[record.voter] = record.to
             position = (record.voter + 1) % n
-        assert passed_over == [0, 1, 0, 1]
-        assert tuple(ballots) == setup.initial.profile.ballots
+        assert passed == passed_over
+        assert (tuple(ballots), position) == states[outcome.cycle_start]
 
     def test_a_run_keeps_no_profile_per_step(self):
         # 300 moves at n = 1000: a run that kept each step's ballots would
@@ -755,6 +794,12 @@ class TestCampaign:
         for count in (0, True, 2.5):
             with pytest.raises(ValueError, match="count must be"):
                 campaign(lambda seed: family_setup(seed, MEIR_R0), count)
+        # 1.0 raised a bare TypeError, and True was read as 1.
+        for base_seed in (1.0, True, "1", None):
+            with pytest.raises(ValueError, match=(
+                    "^base_seed must be an integer$")):
+                campaign(lambda seed: family_setup(seed, MEIR_R0), 2,
+                         base_seed)
 
     def test_peak_memory_stays_flat_over_repeated_campaigns(self):
         # Four back-to-back 300-seed campaigns at n=12, m=4 over fresh seeds,

@@ -37,6 +37,15 @@ TRACE_RUN = "simulate prop1_counterexample --trace"
 # 3, with gaps far past the clip of the gap classes.
 LARGE_CAMPAIGN = ("campaign theorem1_nested --count 5 --voters 200 "
                   "--candidates 6")
+# Campaigns at fixed sizes; `campaign FAMILY` draws its sizes per seed.
+# Every family but pignistic_uniform asserts convergence, so its campaign
+# exits 2 on a run that does not converge.
+SIZED_CAMPAIGNS = (
+    "campaign theorem2_hurwicz --count 20 --voters 9 --candidates 5",
+    "campaign meir_r0 --count 20 --voters 9 --candidates 5",
+    "campaign pignistic_uniform --count 20 --voters 9 --candidates 5",
+    "campaign theorem1_partitioned --count 5 --voters 12 --candidates 4",
+    LARGE_CAMPAIGN)
 FULL_TEXT = ("simulate prop1_counterexample", "check prop1_counterexample",
              "verify example4", "campaign theorem1_nested",
              "simulate set_box_total", "simulate ball_past_cap",
@@ -73,9 +82,9 @@ def corpus(workdir: pathlib.Path) -> dict[str, dict]:
                     [command, str(path)])
         results[f"campaign {family}"] = _run(
             ["campaign", "--family", family, "--count", "20"])
-    results[LARGE_CAMPAIGN] = _run(
-        ["campaign", "--family", "theorem1_nested", "--count", "5",
-         "--voters", "200", "--candidates", "6"])
+    for name in SIZED_CAMPAIGNS:
+        command, family, *options = name.split()
+        results[name] = _run([command, "--family", family, *options])
     for path in sorted((GOLDEN / "scenarios").glob("*.json")):
         for command in COMMANDS:
             results[f"{command} {path.stem}"] = _run([command, str(path)])

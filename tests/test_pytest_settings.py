@@ -40,10 +40,13 @@ def run_probe(tmp_path, python_options=(), pytest_options=()):
 def ci_tier1_options():
     """The interpreter's and pytest's options in the workflow's one pytest
     command, `[VAR=value ...] python OPTIONS -m pytest OPTIONS`."""
-    lines = [line for line in WORKFLOW.read_text(encoding="utf-8").splitlines()
-             if "-m pytest" in line]
+    text = WORKFLOW.read_text(encoding="utf-8")
+    # No command or env block may put src/ on the import path, so that CI
+    # tests the package it installed.
+    assert "PYTHONPATH" not in text
+    lines = [line for line in text.splitlines() if "-m pytest" in line]
     assert len(lines) == 1, lines
-    words = shlex.split(lines[0].split("run:", 1)[1])
+    words = shlex.split(lines[0].strip().removeprefix("run:"))
     while "=" in words[0]:
         words.pop(0)
     assert words[0] == "python", words
