@@ -84,44 +84,6 @@ class MoveEvaluation:
         if self.lower > self.upper:
             raise ValueError("lower expectation exceeds upper expectation")
 
-    @classmethod
-    def _trusted(cls, verdict: str, lower: int, upper: int, den: int,
-                 pig: int | None, pig_den: int, num: int,
-                 num_den: int) -> "MoveEvaluation":
-        """A record of lower / den <= upper / den, pignistic value
-        pig / (den * pig_den) (None when pig is None) and criterion value
-        num / num_den, whose Fractions are built when first read. Unchecked,
-        since the scan builds one per live destination and reads at most
-        one."""
-        # Only a strict verdict's criterion value is ever read in a run, so
-        # the value fields stay out of the __dict__ until __getattr__ fills
-        # them; the public constructor's check holds by construction.
-        record = object.__new__(cls)
-        record.__dict__.update(verdict=verdict, _parts=(
-            lower, upper, den, pig, pig_den, num, num_den))
-        return record
-
-    def __getattr__(self, name: str):
-        # Reached only for names missing from the __dict__.
-        parts = self.__dict__.get("_parts")
-        if parts is None or name not in _LAZY_FIELDS:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        lower, upper, den, pig, pig_den, num, num_den = parts
-        if name == "lower":
-            value = Fraction(lower, den)
-        elif name == "upper":
-            value = Fraction(upper, den)
-        elif name == "pignistic_value":
-            value = None if pig is None else Fraction(pig, den * pig_den)
-        else:
-            value = Fraction(num, num_den)
-        self.__dict__[name] = value
-        return value
-
-
-_LAZY_FIELDS = ("lower", "upper", "pignistic_value", "criterion_value")
-
 
 # A move takes at most one vote from a candidate and gives one to another,
 # so a candidate this far behind the top loses before and after it, while
@@ -221,14 +183,26 @@ def _focal_stats(focal: FocalElement, model: str, rank: Sequence[int],
     return lo, hi, total, n
 
 
+@lru_cache(maxsize=LRU_SIZE)
+def _record(verdict: str, lower: int, upper: int, den: int, pig: int | None,
+            pig_den: int, num: int, num_den: int) -> MoveEvaluation:
+    """The checked record of lower / den, upper / den, pignistic value
+    pig / (den * pig_den) (None when pig is None) and criterion value
+    num / num_den. Runs evaluate moves to few distinct values, so equal
+    parts share one record."""
+    return MoveEvaluation(
+        Fraction(lower, den), Fraction(upper, den),
+        None if pig is None else Fraction(pig, den * pig_den),
+        Fraction(num, num_den), verdict)
+
+
 def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
                   voter_pref: Preference, frm: int, to: int,
                   tie: TieBreakOrder) -> MoveEvaluation:
     """Aggregate the move's utility over the belief and apply the rule.
 
     Sums run in integers over the weights' common denominator, and the
-    verdict is read from their signs; each reported value becomes one
-    Fraction when first read, and lower <= upper holds by construction.
+    verdict is read from their signs; equal sums share one checked record.
     `frm` and `to` are checked before any lookup, since the tables take
     True and 1.0 for 1.
     """
@@ -272,9 +246,8 @@ def evaluate_move(mass: MassFunction, rule: DecisionRule, model: str,
                 num_den = b * den
         verdict = (STRICTLY_PREFERRED if num > 0 else
                    WEAKLY_PREFERRED if num == 0 else NOT_PREFERRED)
-    return MoveEvaluation._trusted(verdict, lower, upper, den,
-                                   pig if want_pig else None, pig_den, num,
-                                   num_den)
+    return _record(verdict, lower, upper, den, pig if want_pig else None,
+                   pig_den, num, num_den)
 
 
 def dominating_manipulation(voter_pref: Preference,

@@ -159,6 +159,8 @@ def default_policy(options: list[tuple[int, MoveEvaluation]],
     ties by the voter's own preference over destinations. That order is
     strict and destinations are distinct, so no tie is left for the
     tie-break order to decide."""
+    if not options:
+        raise ValueError("default_policy needs at least one option")
     return max(options, key=lambda item: (item[1].criterion_value,
                                           -pref.rank_of(item[0])))
 

@@ -70,8 +70,9 @@ class Preference:
         return self.ranking[0]
 
     def rank_of(self, candidate: int) -> int:
-        # Checked, since a negative index would read the table from its end.
-        if not 0 <= candidate < len(self._rank):
+        # Checked, since a negative index would read the table from its end
+        # and True would read candidate 1's rank.
+        if type(candidate) is not int or not 0 <= candidate < len(self._rank):
             raise ValueError(f"{candidate!r} is not a candidate index")
         return self._rank[candidate]
 
@@ -153,7 +154,8 @@ def apply_move(score: Score, frm: int, to: int) -> Score:
     mover's own ballot, and the move must stay total over them.
     """
     m = len(score)
-    if not (0 <= frm < m and 0 <= to < m):
+    if not (type(frm) is int and type(to) is int and 0 <= frm < m
+            and 0 <= to < m):
         raise ValueError("candidate index out of range")
     if frm == to:
         return score

@@ -22,12 +22,13 @@ DEFAULT_CAP = 100_000
 
 # Entries kept per process in each least-recently-used table, which keeps
 # memory flat over long campaigns. A 300-seed theorem1_nested campaign at
-# n=12, m=4 fills the eight tables (balls and rings here; recentred masses
-# and least centres in dynamics; gap classes, winner-pair rows and pair
-# counts in decision; generated beliefs in scenario) to 826, 0, 3,931, 691,
-# 826, 700, 2,380 and 81 entries, so it misses no more often than with
-# unbounded tables; 8 pignistic runs at n=1000, m=6 to 81, 0, 81, 3,772, 81,
-# 612, 241 and 0. A 1,200-seed campaign needs 3,269 pair counts.
+# n=12, m=4 fills the nine tables (balls and rings here; recentred masses
+# and least centres in dynamics; gap classes, winner-pair rows, pair counts
+# and move records in decision; generated beliefs in scenario) to 826, 0,
+# 3,931, 691, 826, 700, 2,380, 373 and 81 entries, so it misses no more
+# often than with unbounded tables; 8 pignistic runs at n=1000, m=6 to 81,
+# 0, 81, 3,772, 81, 612, 241, 30 and 0. A 1,200-seed campaign needs 3,269
+# pair counts.
 LRU_SIZE = 4096
 
 L1_ADDREMOVE = "l1_addremove"

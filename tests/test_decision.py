@@ -53,7 +53,8 @@ from credalvote import (
 )
 import credalvote
 from credalvote import decision, dynamics
-from credalvote.decision import _CLIP, _classes, _move_pairs, _pair_counts
+from credalvote.decision import (
+    _CLIP, _classes, _move_pairs, _pair_counts, _record)
 from credalvote.dynamics import _least_centre
 from credalvote.oracles import oracle_evaluation, raw_move_utility
 from credalvote.uncertainty import ExpansionCapError
@@ -73,7 +74,7 @@ MIXED_MASS = MassFunction((
 PREF_BCA = Preference((1, 2, 0))
 
 
-KERNEL_TABLES = (_classes, _move_pairs, _pair_counts)
+KERNEL_TABLES = (_classes, _move_pairs, _pair_counts, _record)
 
 
 def clear_tables():
@@ -137,10 +138,10 @@ class TestDecisionRule:
     @given(mass_functions(), preferences(), st.integers(0, 2),
            st.integers(0, 2), tie_orders(), st.sampled_from(UTILITY_MODELS),
            decision_rules())
-    def test_trusted_record_equals_public_one(self, mass, pref, frm, to, tie,
-                                              model, rule):
-        # `evaluate_move` builds its record from integer parts, without the
-        # ordering check.
+    def test_shared_record_equals_public_one(self, mass, pref, frm, to, tie,
+                                             model, rule):
+        # `evaluate_move` builds its record from integer parts, through the
+        # table of shared records.
         out = evaluate_move(mass, rule, model, pref, frm, to, tie)
         public = MoveEvaluation(out.lower, out.upper, out.pignistic_value,
                                 out.criterion_value, out.verdict)
@@ -150,7 +151,7 @@ class TestDecisionRule:
         lower, upper, pig = public.lower, public.upper, public.pignistic_value
         den = 2 * math.lcm(lower.denominator, upper.denominator)
         value = public.criterion_value
-        assert MoveEvaluation._trusted(
+        assert _record(
             public.verdict, int(lower * den), int(upper * den), den,
             None if pig is None else pig.numerator * den * 3,
             1 if pig is None else pig.denominator * 3, value.numerator * 5,
@@ -180,10 +181,10 @@ def _fresh_records(game):
                        oracle_evaluation(mass, variant, frm, to, tie))
 
 
-class TestLazyRecord:
-    """`evaluate_move` returns records whose four values are built from
-    integer parts on first read; they must behave as records built by the
-    public constructor in every dataclass and copy protocol."""
+class TestSharedRecord:
+    """`evaluate_move` returns one shared, checked record per distinct set of
+    integer parts; it must behave as a record built by the public
+    constructor in every dataclass and copy protocol."""
 
     @settings(max_examples=60, deadline=None)
     @given(small_games(), st.permutations(_FIELDS))
@@ -212,42 +213,22 @@ class TestLazyRecord:
             assert copy.deepcopy(fresh()) == public
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 assert pickle.loads(pickle.dumps(fresh(), protocol)) == public
-            # A copy of a partly read record still builds the rest.
-            out = fresh()
-            out.upper
-            assert copy.copy(out) == public
 
-    def test_values_are_built_on_first_read(self):
+    def test_equal_parts_share_one_checked_record(self):
         rule = DecisionRule(MIXTURE, alpha=HALF)
         out = evaluate_move(MIXED_MASS, rule, MEIR_SIGN, PREF_BCA, 1, 2, TIE3)
         assert out.verdict == STRICTLY_PREFERRED
-        assert not set(_FIELDS) & set(vars(out))
         values = {"criterion_value": Fraction(1, 4), "upper": Fraction(1),
                   "pignistic_value": HALF, "lower": Fraction(0)}
-        read = set()
         for name, value in values.items():
-            assert name not in vars(out)
-            first = getattr(out, name)
-            assert first == value and type(first) is Fraction
-            read.add(name)
-            assert set(_FIELDS) & set(vars(out)) == read
-            assert getattr(out, name) is first
-
-    def test_unknown_attributes_raise(self):
-        out = evaluate_move(MIXED_MASS, DecisionRule(PESSIMISTIC), MEIR_SIGN,
-                            PREF_BCA, 1, 2, TIE3)
-        for name in ("alpha", "value", "__setstate__", "_lower"):
-            with pytest.raises(AttributeError, match=name):
-                getattr(out, name)
-        assert not set(_FIELDS) & set(vars(out))
-        # No parts: a bare instance, as copy and pickle first make one.
-        bare = object.__new__(MoveEvaluation)
-        for name in _FIELDS + ("_parts", "__setstate__"):
-            assert not hasattr(bare, name)
-        public = MoveEvaluation(*astuple(out))
-        assert "_parts" not in vars(public)
-        with pytest.raises(AttributeError):
-            public.alpha
+            assert getattr(out, name) == value
+            assert type(getattr(out, name)) is Fraction
+        assert evaluate_move(MIXED_MASS, rule, MEIR_SIGN, PREF_BCA, 1, 2,
+                             TIE3) is out
+        # The table builds through the public constructor and its check.
+        with pytest.raises(ValueError, match="^lower expectation exceeds "
+                                             "upper expectation$"):
+            _record(WEAKLY_PREFERRED, 1, 0, 1, None, 1, 0, 1)
 
 
 class TestMoveUtility:

@@ -143,7 +143,7 @@ class TestTemplatesAndConfigs:
         assert {"dynamics._layered_mass", "dynamics._least_centre",
                 "uncertainty._ball", "uncertainty._ring",
                 "decision._classes", "decision._move_pairs",
-                "decision._pair_counts",
+                "decision._pair_counts", "decision._record",
                 "scenario._generated_belief"} <= set(maxsizes)
         assert None not in maxsizes.values(), maxsizes
 
@@ -240,6 +240,12 @@ class TestPolicy:
         options = [self.option(1, THIRD), self.option(2, THIRD)]
         assert default_policy(options, Preference((2, 1, 0))) == options[1]
         assert default_policy(options, Preference((0, 1, 2))) == options[0]
+
+    def test_no_option_is_refused(self):
+        # It raised the bare "max() arg is an empty sequence".
+        with pytest.raises(ValueError, match="^default_policy needs at least "
+                                             "one option$"):
+            default_policy([], Preference((0, 1, 2)))
 
     @given(st.data())
     @settings(max_examples=200)

@@ -75,8 +75,9 @@ def test_rank_positions_invert_the_ranking(pref):
 
 
 def test_rank_of_refuses_a_non_candidate():
+    # True once read candidate 1's rank, and 1.0 raised a bare TypeError.
     pref = Preference((2, 0, 1))
-    for candidate in (-1, 3):
+    for candidate in (-1, 3, True, 1.0):
         with pytest.raises(ValueError, match="not a candidate index"):
             pref.rank_of(candidate)
 
@@ -206,6 +207,17 @@ def test_apply_move_totals(s, frm, to):
         assert moved[frm] == s[frm] - 1 and moved[to] == s[to] + 1
     else:
         assert sum(moved) == sum(s) + 1
+
+
+def test_apply_move_refuses_a_non_candidate():
+    # True once read as 1, so (1, 2, 0) from True to 2 gave (1, 1, 1); 1.0
+    # raised a bare TypeError, and 2.0 to 2 returned the score unmoved.
+    s = (1, 2, 0)
+    for bad in (-1, 3, 1.0, 2.0, True):
+        for frm, to in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError,
+                               match="^candidate index out of range$"):
+                apply_move(s, frm, to)
 
 
 def test_linear_extensions_examples():
